@@ -99,7 +99,6 @@ def cmd_run(config: SimulationConfig) -> int:
             t_final=config.t_final,
             dt=dt,
             output_every=config.output_every,
-            solver_tol=config.solver_tol,
         )
         write_series_csv(out / "series.csv", traj)
         if config.snapshot_every:
@@ -131,7 +130,6 @@ def cmd_sweep(config: SimulationConfig) -> int:
             t_final=config.t_final,
             dt=dt,
             output_every=config.output_every,
-            solver_tol=config.solver_tol,
         )
         for eps, traj in result.trajectories.items():
             sub = out / f"eps_{eps:g}"

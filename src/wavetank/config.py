@@ -35,7 +35,7 @@ class SimulationConfig:
     dt: float = None  # None means "auto" (CFL)
     cfl_factor: float = 0.5
     t_final: float = 1.0
-    solver_tol: float = 1e-10
+    solver_tol: float = 1e-10  # Dirichlet-Neumann solves of `audit` only
     # initial condition
     preset: str = "standing_wave"
     amplitude: float = 1e-3

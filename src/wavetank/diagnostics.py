@@ -147,8 +147,7 @@ def layer_profile(state, reference_state, eps):
     return zeta, profile
 
 
-def epsilon_sweep(make_state, eps_list, t_final, dt, m_probe=2, output_every=4,
-                  solver_tol=1e-10):
+def epsilon_sweep(make_state, eps_list, t_final, dt, m_probe=2, output_every=4):
     """Run the same scenario across viscosities and compare to the eps = 0 run.
 
     make_state(eps) must build identically gridded, identically initialized
@@ -167,7 +166,7 @@ def epsilon_sweep(make_state, eps_list, t_final, dt, m_probe=2, output_every=4,
     result = SweepResult(eps_list=eps_list)
     for eps in eps_list:
         traj = run(make_state(eps), t_final=t_final, dt=dt,
-                   output_every=output_every, solver_tol=solver_tol)
+                   output_every=output_every)
         result.trajectories[eps] = traj
         if traj.failure is not None:
             result.failed[eps] = traj.failure

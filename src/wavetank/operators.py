@@ -161,10 +161,6 @@ class MetricMatrices:
         return float(np.min(0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4.0 * det, 0.0)))))
 
 
-def assemble_metric_matrices(d) -> MetricMatrices:
-    return MetricMatrices(d)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric divergence-form assembly (bilinear elements, cell-averaged E)
 

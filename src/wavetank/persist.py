@@ -101,7 +101,6 @@ SERIES_COLUMNS = (
     "dissipation_rate",
     "projection_residual",
     "kinematic_residual",
-    "normal_stress_residual",
     "tangential_stress_residual",
     "identity_residual",
     "solver_iterations",
@@ -147,7 +146,6 @@ def write_series_csv(path, trajectory):
             _fmt(energy.dissipation_rate),
             _fmt(rep.projection_residual if rep else 0.0),
             _fmt(rep.kinematic_residual if rep else 0.0),
-            _fmt(rep.normal_stress_residual if rep else 0.0),
             _fmt(rep.tangential_stress_residual if rep else 0.0),
             _fmt(identity[idx]),
             str(int(rep.solver_iterations) if rep else 0),
