@@ -4,7 +4,9 @@ All solves share one symmetric stiffness matrix per metric (divergence form,
 cell-averaged E) and a Jacobi-preconditioned conjugate-gradient loop with a
 deterministic iteration budget.  The Dirichlet-Neumann operator is the weak
 boundary flux of the same matrix, so its discrete bilinear form is exactly
-symmetric.
+symmetric.  The time stepper's projection and viscous solves reuse the
+conjugate-gradient loop with their own flat-metric preconditioner, so
+Jacobi serves only the FE elliptic and Dirichlet-Neumann solves.
 """
 
 from dataclasses import dataclass, field
@@ -28,24 +30,36 @@ def iteration_budget(grid):
     return int(np.ceil(10.0 * np.sqrt(grid.n_y * grid.n_z)))
 
 
-def _pcg(A, b, x0, rtol, atol, maxiter):
-    """Jacobi-preconditioned conjugate gradients; returns (x, iterations)."""
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SolverFailureError("non-positive diagonal in SPD solve")
-    inv_diag = 1.0 / diag
+def _pcg(A, b, x0, rtol, atol, maxiter, precondition=None):
+    """Preconditioned conjugate gradients; returns (x, iterations).
+
+    A is a sparse matrix or a function applying the SPD operator.
+    precondition applies an SPD approximation of the inverse of A; without
+    one the solve is Jacobi-preconditioned, which needs A as a matrix.  The
+    stopping rule is on the unpreconditioned residual.
+    """
+    if precondition is None:
+        diag = A.diagonal()
+        if np.any(diag <= 0):
+            raise SolverFailureError("non-positive diagonal in SPD solve")
+        inv_diag = 1.0 / diag
+
+        def precondition(r):
+            return inv_diag * r
+
+    apply = A if callable(A) else A.__matmul__
     x = x0.copy()
-    r = b - A @ x
+    r = b - apply(x)
     bnorm = np.linalg.norm(b)
     target = max(atol, rtol * bnorm)
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(maxiter):
         rnorm = np.linalg.norm(r)
         if rnorm <= target:
             return x, it
-        Ap = A @ p
+        Ap = apply(p)
         denom = float(p @ Ap)
         if denom <= 0:
             raise SolverFailureError(
@@ -54,7 +68,7 @@ def _pcg(A, b, x0, rtol, atol, maxiter):
         alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -229,11 +243,21 @@ def advection_term(v: Field, d) -> np.ndarray:
     return out
 
 
+def surface_traction_parts(s_top, d):
+    """Split (S n) at z = 0 into its normal part (S n).n and the magnitude
+    of its tangential part, given the surface strain s_top = (S11, S12, S22)
+    at the top row, shape (3, n_y)."""
+    n1, n2 = d.n_boundary
+    sn1 = s_top[0] * n1 + s_top[1] * n2
+    sn2 = s_top[1] * n1 + s_top[2] * n2
+    snn = sn1 * n1 + sn2 * n2
+    tangential = np.sqrt((sn1 - snn * n1) ** 2 + (sn2 - snn * n2) ** 2)
+    return snn, tangential
+
+
 def viscous_boundary_trace(v: Field, d, eps):
     """2 eps (S_phi v) n . n at z = 0, the qNS Dirichlet data."""
-    s = strain_phi(v, d).values[..., -1]
-    n1, n2 = d.n_boundary
-    snn = s[0] * n1 ** 2 + 2.0 * s[1] * n1 * n2 + s[2] * n2 ** 2
+    snn, _ = surface_traction_parts(strain_phi(v, d).values[..., -1], d)
     return 2.0 * eps * snn
 
 

@@ -108,6 +108,9 @@ SERIES_COLUMNS = (
     "max_dz_v_top",
     "max_h",
     "max_v",
+    "viscous_iterations",
+    "projection_iterations",
+    "reprojection_iterations",
 )
 
 
@@ -153,6 +156,9 @@ def write_series_csv(path, trajectory):
             _fmt(dz_top),
             _fmt(state.h.max_abs()),
             _fmt(np.max(np.abs(state.v.values))),
+            str(int(rep.viscous_iterations) if rep else 0),
+            str(int(rep.projection_iterations) if rep else 0),
+            str(int(rep.reprojection_iterations) if rep else 0),
         ]
         rows.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -219,3 +219,26 @@ class TestSeriesCsv:
             write_series_csv(path, traj)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_per_solve_iteration_columns(self, tmp_path):
+        import csv
+
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        from wavetank.evolution import make_flow_state
+
+        st0 = make_flow_state(
+            g, 1e-3 * np.cos(g.y_nodes), np.zeros((2, g.n_y, g.n_z)), eps=1e-3,
+        )
+        traj = run(st0, t_final=0.06, dt=0.02)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, traj)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        columns = ("viscous_iterations", "projection_iterations",
+                   "reprojection_iterations")
+        for row in rows:
+            counts = [int(row[name]) for name in columns]
+            assert sum(counts) == int(row["solver_iterations"])
+        # the first step starts from rest, so its viscous solve has zero data
+        assert all(int(rows[-1][name]) > 0 for name in columns)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wavetank.elliptic import (
     capillary_trace,
     decompose_pressure,
     viscous_boundary_trace,
 )
-from wavetank.errors import ConfigurationError, StepSizeError
+from wavetank.errors import ConfigurationError, SolverFailureError, StepSizeError
 from wavetank.evolution import (
     FlowState,
     advance,
@@ -19,6 +20,7 @@ from wavetank.evolution import (
     run,
 )
 from wavetank.grid import Field, l2_norm, make_grid
+from wavetank.surface import build_diffeomorphism, surface_from_values
 
 from conftest import random_valid_metric, smooth_vector
 
@@ -306,6 +308,113 @@ class TestStepInvariants:
         assert new.d is not st.d
         assert new.t == pytest.approx(0.02)
         assert new.d.c0_observed >= st.c0
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _pinned(M, fixed):
+    """keep M keep + identity on the fixed rows (symmetric elimination)."""
+    keep = np.ones(M.shape[0])
+    keep[fixed] = 0.0
+    return sp.diags(keep) @ M @ sp.diags(keep) + sp.diags(1.0 - keep)
+
+
+class TestMatrixFreeOperators:
+    """Dual route: every matrix-free metric operator against the sparse
+    matrix assembled from the fixed grid matrices and the metric vectors."""
+
+    @pytest.fixture
+    def assembled(self, grid, curved_metric):
+        mops = metric_ops(grid, curved_metric)
+        ops = mops.ops
+        c = curved_metric.dzphi.values.ravel()
+        b = curved_metric.grad_y_phi.values.ravel()
+        inv_c = sp.diags(1.0 / c)
+        Wc = sp.diags(c * ops.weights)
+        G1 = inv_c @ (sp.diags(c) @ ops.dy_c - sp.diags(b) @ ops.dz_sbp)
+        G2 = inv_c @ ops.dz_sbp
+        D1 = inv_c @ (ops.dy_c @ sp.diags(c) - ops.dz_sbp @ sp.diags(b))
+        A1 = ops.dy_c - sp.diags(b / c) @ ops.dz_3pt
+        A2 = inv_c @ ops.dz_3pt
+        Z = sp.csr_matrix((ops.n, ops.n))
+        S11 = sp.hstack([A1, Z])
+        S22 = sp.hstack([Z, A2])
+        S12 = 0.5 * sp.hstack([A2, A1])
+        K = S11.T @ Wc @ S11 + S22.T @ Wc @ S22 + 2.0 * (S12.T @ Wc @ S12)
+        return dict(
+            mops=mops, ops=ops, Wc=Wc, G1=G1, G2=G2, D1=D1,
+            S=(S11, S12, S22), K=K,
+        )
+
+    def test_gradient_and_gram(self, grid, assembled, rng):
+        mops, ops = assembled["mops"], assembled["ops"]
+        G1, G2, Wc = assembled["G1"], assembled["G2"], assembled["Wc"]
+        q = rng.standard_normal(ops.n)
+        grad = mops.gradient(q.reshape(grid.shape))
+        assert _rel_gap(grad[0].ravel(), G1 @ q) < 1e-12
+        assert _rel_gap(grad[1].ravel(), G2 @ q) < 1e-12
+        P = _pinned(G1.T @ Wc @ G1 + G2.T @ Wc @ G2, ops.top_idx)
+        assert _rel_gap(mops.gram(q), P @ q) < 1e-12
+
+    def test_viscous_operator(self, assembled, rng):
+        mops, ops = assembled["mops"], assembled["ops"]
+        eps, dt = 1e-2, 0.05
+        mass = sp.diags(np.tile(mops.c * ops.weights, 2))
+        bottom = np.concatenate([ops.bottom_idx, ops.bottom_idx + ops.n])
+        M = _pinned(mass + 2.0 * eps * dt * assembled["K"], bottom)
+        u = rng.standard_normal(2 * ops.n)
+        assert _rel_gap(mops.viscous_operator(u, eps, dt), M @ u) < 1e-12
+
+    def test_divergence_and_dissipation(self, grid, assembled, rng):
+        mops, ops = assembled["mops"], assembled["ops"]
+        v = rng.standard_normal((2,) + grid.shape)
+        v1, v2 = v[0].ravel(), v[1].ravel()
+        div = assembled["D1"] @ v1 + assembled["G2"] @ v2
+        mask = ops.interior_mask
+        ref = np.sqrt(np.sum(ops.weights[mask] * div[mask] ** 2))
+        assert abs(mops.divergence_residual(v) - ref) < 1e-12 * ref
+        u = np.concatenate([v1, v2])
+        w = mops.c * ops.weights
+        S11, S12, S22 = assembled["S"]
+        ref = 4.0 * 1e-2 * np.sum(
+            w * ((S11 @ u) ** 2 + (S22 @ u) ** 2 + 2.0 * (S12 @ u) ** 2)
+        )
+        assert abs(mops.strain_dissipation(v, 1e-2) - ref) < 1e-12 * ref
+
+
+def _solve_iterations(grid, d, rng):
+    mops = metric_ops(grid, d)
+    v = rng.standard_normal((2,) + grid.shape)
+    _, it_proj = mops.project(v, return_iterations=True)
+    _, it_visc = mops.viscous_solve(v, 1e-2, 0.05)
+    return it_proj, it_visc
+
+
+class TestPreconditionedSolves:
+    def test_flat_metric_is_solved_exactly(self, grid, rng):
+        # the flat-metric factors are the exact inverses there, so one
+        # iteration meets the tolerance; an inexact factor (say, a band too
+        # narrow for the u-w coupling of the modes k >= 1) needs many more
+        h = surface_from_values(grid, np.zeros(grid.n_y))
+        for A in (1.0, 1.7):
+            d = build_diffeomorphism(h, A=A, c0=0.5)
+            assert max(_solve_iterations(grid, d, rng)) <= 2
+
+    def test_failed_band_factorization_is_a_solver_failure(self, grid, rng):
+        ops = metric_ops(grid, random_valid_metric(grid, rng)).ops
+        r = rng.standard_normal(2 * ops.n)
+        with pytest.raises(SolverFailureError):
+            ops.flat_viscous_solve(r, 1.0, -1e3)  # W - 1e3 K is indefinite
+
+    @pytest.mark.parametrize("n_y,n_z", [(16, 24), (32, 48), (48, 64)])
+    def test_iterations_bounded_on_a_curved_surface(self, n_y, n_z, rng):
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
+        y = g.y_nodes
+        h = surface_from_values(g, 0.2 * np.cos(y) + 0.06 * np.sin(3.0 * y))
+        d = build_diffeomorphism(h, A=None, c0=0.25)
+        assert max(_solve_iterations(g, d, rng)) <= 20
 
 
 class TestEnergyReport:
