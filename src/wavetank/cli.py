@@ -2,7 +2,9 @@
 
 Every command writes an effective-config file (all defaults applied) and a
 machine-readable status file to the output directory, then exits 0 on
-success or 1 with the error class recorded.
+success or 1 with the error class recorded.  A command handler takes the
+config and the prepared output directory and raises on failure; main
+writes the status.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .evolution import check_compatibility, run
+from .evolution import check_compatibility, resolve_dt, run
 from .diagnostics import epsilon_sweep, korn_audit
 from .conormal import (
     anisotropic_embedding_audit,
@@ -78,135 +80,94 @@ def _write_status(out: Path, status, error=None):
     )
 
 
-def _resolved_dt(config, state):
-    if config.dt is not None:
-        return config.dt
-    from .evolution import cfl_dt
-
-    dt = cfl_dt(state, cfl_factor=config.cfl_factor)
-    if not np.isfinite(dt):
-        dt = config.t_final / 100.0
-    return dt
-
-
-def cmd_run(config: SimulationConfig) -> int:
-    out = _prepare_out(config)
-    try:
-        state = initial_state(config)
-        dt = _resolved_dt(config, state)
-        traj = run(
-            state,
-            t_final=config.t_final,
-            dt=dt,
-            output_every=config.output_every,
-        )
-        write_series_csv(out / "series.csv", traj)
-        if config.snapshot_every:
-            for idx, st in enumerate(traj.states):
-                if idx % config.snapshot_every == 0:
-                    save_checkpoint(out / f"snapshot_{idx:06d}.wtk", st)
-        save_checkpoint(out / "snapshot_final.wtk", traj.states[-1])
-        if traj.failure is not None:
-            _write_status(out, "error", traj.failure)
-            return 1
-        _write_status(out, "ok")
-        return 0
-    except WavetankError as exc:
-        _write_status(out, "error", exc)
-        return 1
+def cmd_run(config: SimulationConfig, out: Path):
+    traj = run(
+        initial_state(config),
+        t_final=config.t_final,
+        dt=config.dt,
+        cfl_factor=config.cfl_factor,
+        output_every=config.output_every,
+    )
+    write_series_csv(out / "series.csv", traj)
+    if config.snapshot_every:
+        for idx, st in enumerate(traj.states):
+            if idx % config.snapshot_every == 0:
+                save_checkpoint(out / f"snapshot_{idx:06d}.wtk", st)
+    save_checkpoint(out / "snapshot_final.wtk", traj.states[-1])
+    if traj.failure is not None:
+        raise traj.failure
 
 
-def cmd_sweep(config: SimulationConfig) -> int:
-    out = _prepare_out(config)
-    try:
-        eps_list = list(config.eps_list)
-        if not eps_list:
-            eps_list = [1e-2, 1e-3, 1e-4, 0.0]
-        state0 = initial_state(config, eps=eps_list[0])
-        dt = _resolved_dt(config, state0)
-        result = epsilon_sweep(
-            lambda eps: initial_state(config, eps=eps),
-            eps_list,
-            t_final=config.t_final,
-            dt=dt,
-            output_every=config.output_every,
-        )
-        for eps, traj in result.trajectories.items():
-            sub = out / f"eps_{eps:g}"
-            sub.mkdir(exist_ok=True)
-            write_series_csv(sub / "series.csv", traj)
-            if eps in result.profiles:
-                zeta, profile = result.profiles[eps]
-                write_profile_csv(sub / "layer_profile.csv", zeta, profile)
-        write_sweep_csv(out / "sweep.csv", result)
-        if result.failed:
-            failing = ", ".join(f"{eps:g}" for eps in result.failed)
-            _write_status(
-                out, "error", WavetankError(f"sweep members failed: {failing}")
-            )
-            return 1
-        _write_status(out, "ok")
-        return 0
-    except WavetankError as exc:
-        _write_status(out, "error", exc)
-        return 1
+def cmd_sweep(config: SimulationConfig, out: Path):
+    eps_list = list(config.eps_list)
+    if not eps_list:
+        eps_list = [1e-2, 1e-3, 1e-4, 0.0]
+    state0 = initial_state(config, eps=eps_list[0])
+    dt = resolve_dt(state0, config.t_final, config.dt, config.cfl_factor)
+    result = epsilon_sweep(
+        lambda eps: initial_state(config, eps=eps),
+        eps_list,
+        t_final=config.t_final,
+        dt=dt,
+        output_every=config.output_every,
+    )
+    for eps, traj in result.trajectories.items():
+        sub = out / f"eps_{eps:g}"
+        sub.mkdir(exist_ok=True)
+        write_series_csv(sub / "series.csv", traj)
+        if eps in result.profiles:
+            zeta, profile = result.profiles[eps]
+            write_profile_csv(sub / "layer_profile.csv", zeta, profile)
+    write_sweep_csv(out / "sweep.csv", result)
+    if result.failed:
+        failing = ", ".join(f"{eps:g}" for eps in result.failed)
+        raise WavetankError(f"sweep members failed: {failing}")
 
 
-def cmd_audit(config: SimulationConfig) -> int:
+def cmd_audit(config: SimulationConfig, out: Path):
     """Measure the property-audit constants and write their table."""
-    out = _prepare_out(config)
-    try:
-        rng = np.random.default_rng(config.seed)
-        grid = build_grid(config)
-        rows = []
+    rng = np.random.default_rng(config.seed)
+    grid = build_grid(config)
+    rows = []
 
-        gains = extension_gain_audit(grid, rng)
-        for s, val in sorted(gains.items()):
-            rows.append((f"extension_gain_s{s}", val))
+    gains = extension_gain_audit(grid, rng)
+    for s, val in sorted(gains.items()):
+        rows.append((f"extension_gain_s{s}", val))
 
-        corpus = [random_smooth_field(grid, rng) for _ in range(12)]
-        rows.append(
-            ("anisotropic_embedding", anisotropic_embedding_audit(grid, corpus))
-        )
-        rows.append(
-            ("trace_inequality", trace_inequality_audit(grid, corpus, 1.0, 1.0, 1.0))
-        )
+    corpus = [random_smooth_field(grid, rng) for _ in range(12)]
+    rows.append(("anisotropic_embedding", anisotropic_embedding_audit(grid, corpus)))
+    rows.append(
+        ("trace_inequality", trace_inequality_audit(grid, corpus, 1.0, 1.0, 1.0))
+    )
 
-        korn_corpus = []
-        for _ in range(10):
-            h = random_surface(grid, rng, amplitude=0.05)
-            d = build_diffeomorphism(h, A=None, c0=config.c0)
-            v = np.stack(
-                [random_smooth_field(grid, rng), random_smooth_field(grid, rng)]
-            )
-            korn_corpus.append((Field(grid, 0.2 * v), d))
-        rows.append(("korn_lambda0", korn_audit(korn_corpus)))
+    korn_corpus = []
+    for _ in range(10):
+        h = random_surface(grid, rng, amplitude=0.05)
+        d = build_diffeomorphism(h, A=None, c0=config.c0)
+        v = np.stack([random_smooth_field(grid, rng), random_smooth_field(grid, rng)])
+        korn_corpus.append((Field(grid, 0.2 * v), d))
+    rows.append(("korn_lambda0", korn_audit(korn_corpus)))
 
-        dn_cs = []
-        for _ in range(10):
-            h = random_surface(grid, rng, amplitude=0.05)
-            d = build_diffeomorphism(h, A=None, c0=config.c0)
-            f = rng.standard_normal(grid.n_y)
-            f -= f.mean()
-            quad = dn_quadratic_form(d, f, f, tol=config.solver_tol)
-            w1inf = h.max_abs() + float(np.max(np.abs(h.slope())))
-            denom = (1.0 + w1inf) ** -2 * boundary_sobolev_norm(
-                grid, _half_multiplier(grid, f), 0.0
-            ) ** 2
-            if denom > 0:
-                dn_cs.append(quad / denom)
-        rows.append(("dn_coercivity_min_c", min(dn_cs)))
+    dn_cs = []
+    for _ in range(10):
+        h = random_surface(grid, rng, amplitude=0.05)
+        d = build_diffeomorphism(h, A=None, c0=config.c0)
+        f = rng.standard_normal(grid.n_y)
+        f -= f.mean()
+        quad = dn_quadratic_form(d, f, f, tol=config.solver_tol)
+        w1inf = h.max_abs() + float(np.max(np.abs(h.slope())))
+        denom = (1.0 + w1inf) ** -2 * boundary_sobolev_norm(
+            grid, _half_multiplier(grid, f), 0.0
+        ) ** 2
+        if denom > 0:
+            dn_cs.append(quad / denom)
+    rows.append(("dn_coercivity_min_c", min(dn_cs)))
 
-        lines = ["constant,value"]
-        for name, val in rows:
-            lines.append(f"{name},{val!r}")
-            print(f"{name}: {val:.6g}")
-        (out / "audit.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_status(out, "ok")
-        return 0
-    except WavetankError as exc:
-        _write_status(out, "error", exc)
-        return 1
+    lines = ["constant,value"]
+    for name, val in rows:
+        lines.append(f"{name},{val!r}")
+        print(f"{name}: {val:.6g}")
+    (out / "audit.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _half_multiplier(grid, f):
@@ -217,23 +178,16 @@ def _half_multiplier(grid, f):
     return np.fft.irfft(fh, n=grid.n_y)
 
 
-def cmd_check(config: SimulationConfig) -> int:
-    out = _prepare_out(config)
-    try:
-        state = initial_state(config)
-        report = check_compatibility(state)
-        print(
-            f"compatibility residual: {report['residual']:.3e} "
-            f"(tolerance {report['tolerance']:.1e}) "
-            f"{'ok' if report['ok'] else 'WARNING: incompatible initial data'}"
-        )
-        dt = _resolved_dt(config, state)
-        print(f"resolved dt: {dt:.6g}")
-        _write_status(out, "ok")
-        return 0
-    except WavetankError as exc:
-        _write_status(out, "error", exc)
-        return 1
+def cmd_check(config: SimulationConfig, out: Path):
+    state = initial_state(config)
+    report = check_compatibility(state)
+    print(
+        f"compatibility residual: {report['residual']:.3e} "
+        f"(tolerance {report['tolerance']:.1e}) "
+        f"{'ok' if report['ok'] else 'WARNING: incompatible initial data'}"
+    )
+    dt = resolve_dt(state, config.t_final, config.dt, config.cfl_factor)
+    print(f"resolved dt: {dt:.6g}")
 
 
 def main(argv=None) -> int:
@@ -271,7 +225,14 @@ def main(argv=None) -> int:
         "audit": cmd_audit,
         "check": cmd_check,
     }[args.command]
-    return handler(config)
+    out = _prepare_out(config)
+    try:
+        handler(config, out)
+    except WavetankError as exc:
+        _write_status(out, "error", exc)
+        return 1
+    _write_status(out, "ok")
+    return 0
 
 
 if __name__ == "__main__":

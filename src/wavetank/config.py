@@ -67,8 +67,12 @@ class SimulationConfig:
             raise ConfigurationError("dt must be positive or auto (key 'dt')")
         if self.slope_A is not None and self.slope_A <= 0:
             raise ConfigurationError("slope_A must be positive or auto (key 'slope_A')")
-        if self.output_every < 1 or self.snapshot_every < 0:
-            raise ConfigurationError("output cadence must be >= 1 (key 'output_every')")
+        if self.output_every < 1:
+            raise ConfigurationError("output_every must be >= 1 (key 'output_every')")
+        if self.snapshot_every < 0:
+            raise ConfigurationError(
+                "snapshot_every must be >= 0 (key 'snapshot_every')"
+            )
         if self.eps_list and any(e < 0 for e in self.eps_list):
             raise ConfigurationError("eps_list entries must be >= 0 (key 'eps_list')")
 

@@ -147,13 +147,14 @@ def layer_profile(state, reference_state, eps):
     return zeta, profile
 
 
-def epsilon_sweep(make_state, eps_list, t_final, dt, m_probe=2, output_every=4):
+def epsilon_sweep(make_state, eps_list, t_final, dt, output_every=4):
     """Run the same scenario across viscosities and compare to the eps = 0 run.
 
     make_state(eps) must build identically gridded, identically initialized
     states.  eps_list must be decreasing with at least three entries and end
-    at 0 (the Euler member is the reference).  A failing member is recorded
-    in result.failed and skipped in the comparisons.
+    at 0 (the Euler member is the reference).  The co-normal probe is Hco
+    at order 2.  A failing member is recorded in result.failed and skipped
+    in the comparisons.
     """
     eps_list = list(eps_list)
     if len(eps_list) < 3:
@@ -185,7 +186,7 @@ def epsilon_sweep(make_state, eps_list, t_final, dt, m_probe=2, output_every=4):
         dzz_tops = []
         top_band = g.z_nodes > -0.25 * g.depth_H
         for s in traj.states:
-            probes.append(conormal_norm(Field(g, s.v.values), "Hco", m_probe).value)
+            probes.append(conormal_norm(Field(g, s.v.values), "Hco", 2).value)
             dzv = vertical_derivative_values(g, s.v.values)
             dz_norms.append(l2_norm(g, dzv))
             dzz = vertical_derivative_values(g, dzv[0])

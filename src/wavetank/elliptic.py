@@ -23,7 +23,7 @@ from .operators import (
     flux_load,
     strain_phi,
 )
-from .surface import surface_geometry
+from .surface import cutoff_lift, surface_geometry
 
 
 def iteration_budget(grid):
@@ -181,7 +181,7 @@ class EllipticOperator:
         return weak / self.grid.dy
 
 
-def solve_elliptic(problem: EllipticProblem, tol, operator=None, x0=None) -> Field:
+def solve_elliptic(problem: EllipticProblem, tol, operator=None) -> Field:
     """Solve one EllipticProblem to the given relative tolerance."""
     if tol <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -193,7 +193,7 @@ def solve_elliptic(problem: EllipticProblem, tol, operator=None, x0=None) -> Fie
 # ---------------------------------------------------------------------------
 # Dirichlet-Neumann operator
 
-def dirichlet_neumann(d, f_b, tol=1e-10, operator=None):
+def dirichlet_neumann(d, f_b, tol=1e-10):
     """G[h] f_b = (grad f)^b . N for the harmonic extension of f_b.
 
     Harmonic in the physical domain means div(E grad f) = 0 on the strip;
@@ -201,15 +201,15 @@ def dirichlet_neumann(d, f_b, tol=1e-10, operator=None):
     Bottom closure is homogeneous Neumann.
     """
     metric = MetricMatrices(d)
-    op = operator or EllipticOperator(d.grid, metric)
+    op = EllipticOperator(d.grid, metric)
     problem = EllipticProblem(metric=metric, dirichlet_top=np.asarray(f_b, float))
     q, _ = op.solve(problem, tol)
     return op.boundary_flux(q)
 
 
-def dn_quadratic_form(d, f_b, g_b, tol=1e-10, operator=None):
+def dn_quadratic_form(d, f_b, g_b, tol=1e-10):
     """(G[h] f, g) over the boundary with the periodic trapezoid rule."""
-    flux = dirichlet_neumann(d, f_b, tol=tol, operator=operator)
+    flux = dirichlet_neumann(d, f_b, tol=tol)
     return float(np.sum(flux * np.asarray(g_b, float)) * d.grid.dy)
 
 
@@ -267,30 +267,18 @@ def capillary_trace(h, sigma):
     return -sigma * kappa
 
 
-def harmonic_lift(grid, top_data):
-    """Mode-wise cutoff extension of boundary data into the interior.
-
-    Used as a deterministic conjugate-gradient starting guess: it is a pure
-    function of the data, so reruns and restarts stay bit-identical.
-    """
-    from .surface import extension_modes, surface_from_values
-
-    lift_surface = surface_from_values(grid, np.asarray(top_data, float))
-    modes = extension_modes(lift_surface, z_derivative=0)
-    return np.fft.irfft(modes, n=grid.n_y, axis=0)
-
-
-def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10, operator=None):
+def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
     """Split q = qE + qNS + qS per the three elliptic problems.
 
     qE carries the advection source and the gravity trace g*h, qNS the
     viscous normal stress trace, qS the capillary trace.  At eps = 0 the
-    qNS solve is skipped.
+    qNS solve is skipped.  Each solve starts from the cutoff extension of
+    its trace, a pure function of the data, so reruns stay bit-identical.
     """
     if eps < 0:
         raise ConfigurationError(f"viscosity must be >= 0, got {eps}")
     metric = MetricMatrices(d)
-    op = operator or EllipticOperator(d.grid, metric)
+    op = EllipticOperator(d.grid, metric)
     grid = d.grid
 
     adv = advection_term(v, d)
@@ -306,7 +294,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10, operator=None):
             flux_rhs=(F1, F2),
         ),
         tol,
-        x0=harmonic_lift(grid, top_E),
+        x0=cutoff_lift(grid, np.fft.rfft(top_E)),
     )
 
     if eps > 0:
@@ -314,7 +302,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10, operator=None):
         qNS, it_NS = op.solve(
             EllipticProblem(metric=metric, dirichlet_top=top_NS),
             tol,
-            x0=harmonic_lift(grid, top_NS),
+            x0=cutoff_lift(grid, np.fft.rfft(top_NS)),
         )
     else:
         qNS = np.zeros(grid.shape)
@@ -324,7 +312,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10, operator=None):
     qS, it_S = op.solve(
         EllipticProblem(metric=metric, dirichlet_top=top_S),
         tol,
-        x0=harmonic_lift(grid, top_S),
+        x0=cutoff_lift(grid, np.fft.rfft(top_S)),
     )
 
     return PressureSplit(
@@ -335,14 +323,14 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10, operator=None):
     )
 
 
-def qE_inner_split(v: Field, d, g, tol=1e-10, operator=None):
+def qE_inner_split(v: Field, d, g, tol=1e-10):
     """qE1 harmonic with trace g*h; qE2 zero-trace with the grad v : grad v^T source.
 
     The source uses the solenoidal cancellation div(v . grad v) =
     grad v : (grad v)^T, assembled as a plain right-hand side.
     """
     metric = MetricMatrices(d)
-    op = operator or EllipticOperator(d.grid, metric)
+    op = EllipticOperator(d.grid, metric)
     qE1, _ = op.solve(
         EllipticProblem(metric=metric, dirichlet_top=g * d.h.h_values), tol
     )

@@ -20,7 +20,6 @@ operator on the flat strip (h = 0), which is separable: the iteration count
 depends on the surface's amplitude, not on the grid size.
 """
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .grid import (
 from .surface import (
     SurfaceState,
     build_diffeomorphism,
-    extension_modes,
+    cutoff_lift,
     surface_from_values,
 )
 from .operators import strain_phi
@@ -283,7 +282,17 @@ class MetricOps:
         out[top] = psi[top]
         return out
 
-    def project(self, v, rtol=1e-12, x0=None, return_iterations=False):
+    def _solve(self, operator, rhs, x0, precondition):
+        """The time step's CG solve: relative tolerance 1e-12, an absolute
+        floor at rounding level and a budget that grows like sqrt(n)."""
+        return _pcg(
+            operator, rhs, x0, rtol=1e-12,
+            atol=1e-16 * max(float(np.linalg.norm(rhs)), 1.0),
+            maxiter=max(800, 40 * int(np.sqrt(self.ops.n))),
+            precondition=precondition,
+        )
+
+    def project(self, v, return_iterations=False):
         """dV_t-orthogonal projection of v onto the complement of gradients.
 
         Solves the normal equations (G^T W_c G) psi = G^T W_c v over
@@ -297,18 +306,9 @@ class MetricOps:
         ops = self.ops
         rhs = self._grad_t(self.wc * np.ravel(v[0]), self.wc * np.ravel(v[1]))
         rhs[ops.top_idx] = 0.0
-        if x0 is None:
-            x0 = np.zeros(ops.n)
-        scale = float(np.linalg.norm(rhs))
         A = self.A
-        psi, iters = _pcg(
-            self.gram,
-            rhs,
-            x0,
-            rtol=rtol,
-            atol=1e-16 * max(scale, 1.0),
-            maxiter=max(800, 40 * int(np.sqrt(ops.n))),
-            precondition=lambda r: ops.flat_gram_solve(r, A),
+        psi, iters = self._solve(
+            self.gram, rhs, np.zeros(ops.n), lambda r: ops.flat_gram_solve(r, A)
         )
         corrected = v - self.gradient(psi)
         if return_iterations:
@@ -363,7 +363,7 @@ class MetricOps:
         out[bottom] = u[bottom]
         return out
 
-    def viscous_solve(self, v, eps, dt, rtol=1e-12):
+    def viscous_solve(self, v, eps, dt):
         """Implicit step of c v_t = 2 eps div_phi(S_phi v) with no-slip bottom.
 
         The top boundary carries the natural (weakly traction-free)
@@ -380,14 +380,11 @@ class MetricOps:
         x0 = u.copy()
         x0[ops.no_slip_idx] = 0.0
         A, tau = self.A, 2.0 * eps * dt
-        sol, iters = _pcg(
+        sol, iters = self._solve(
             lambda x: self.viscous_operator(x, eps, dt),
             rhs,
             x0,
-            rtol=rtol,
-            atol=1e-16 * max(float(np.linalg.norm(rhs)), 1.0),
-            maxiter=max(800, 40 * int(np.sqrt(ops.n))),
-            precondition=lambda r: ops.flat_viscous_solve(r, A, tau),
+            lambda r: ops.flat_viscous_solve(r, A, tau),
         )
         out = np.stack(
             [sol[:n].reshape(self.grid.shape), sol[n:].reshape(self.grid.shape)]
@@ -395,14 +392,9 @@ class MetricOps:
         return out, iters
 
 
-_METRIC_OPS = weakref.WeakKeyDictionary()
-
-
 def metric_ops(grid, d) -> MetricOps:
-    """Per-diffeomorphism memo of the solver operator set."""
-    if d not in _METRIC_OPS:
-        _METRIC_OPS[d] = MetricOps(grid, d)
-    return _METRIC_OPS[d]
+    """The solver operator set of one metric, built afresh on every call."""
+    return MetricOps(grid, d)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +474,16 @@ def kinematic_rhs(v_values, d):
     return v_values[1, :, -1] - b_top * v_values[0, :, -1]
 
 
-def check_compatibility(state: FlowState, tol=1e-8):
+def check_compatibility(state: FlowState):
     """Zeroth-order compatibility: tangential part of (S_phi v) n at z = 0.
 
-    Advisory; returns a dict with the max residual and whether it passes.
+    Advisory; returns a dict with the max residual and whether it passes
+    the tolerance 1e-8.
     """
     s_top = strain_phi(state.v, state.d).values[..., -1]
     _, tangential = surface_traction_parts(s_top, state.d)
     residual = float(np.max(tangential))
-    return {"residual": residual, "tolerance": tol, "ok": residual <= tol}
+    return {"residual": residual, "tolerance": 1e-8, "ok": residual <= 1e-8}
 
 
 def cfl_dt(state: FlowState, cfl_factor=0.5):
@@ -502,8 +495,7 @@ def cfl_dt(state: FlowState, cfl_factor=0.5):
     vmax = float(np.max(np.abs(v[0])))
     if vmax > 0:
         limits.append(grid.dy / vmax)
-    w = kinematic_rhs(v, d)
-    eta_t = _extend_rate(state.h, w)
+    eta_t = cutoff_lift(grid, np.fft.rfft(kinematic_rhs(v, d)))
     vz = (v[1] - d.grad_y_phi.values * v[0] - eta_t) / d.dzphi.values
     vzmax = float(np.max(np.abs(vz)))
     if vzmax > 0:
@@ -517,11 +509,14 @@ def cfl_dt(state: FlowState, cfl_factor=0.5):
     return cfl_factor * min(limits)
 
 
-def _extend_rate(h: SurfaceState, rate_values):
-    """Interior extension of a surface rate (same cutoff as eta)."""
-    rate_surface = surface_from_values(h.grid, rate_values)
-    modes = extension_modes(rate_surface, z_derivative=0)
-    return np.fft.irfft(modes, n=h.grid.n_y, axis=0)
+def resolve_dt(state: FlowState, t_final, dt, cfl_factor):
+    """dt, or when it is None the CFL step of state (a hundredth of the
+    remaining span when no limit applies)."""
+    if dt is None:
+        dt = cfl_dt(state, cfl_factor=cfl_factor)
+        if not np.isfinite(dt):
+            dt = (t_final - state.t) / 100.0
+    return dt
 
 
 def advance(state: FlowState, dt: float):
@@ -553,7 +548,7 @@ def advance(state: FlowState, dt: float):
     # (iii) explicit advection in the V_z form
     b = d_half.grad_y_phi.values
     c = d_half.dzphi.values
-    eta_t = _extend_rate(h_half, w0)
+    eta_t = cutoff_lift(grid, np.fft.rfft(w0))
     vz = (v0[1] - b * v0[0] - eta_t) / c
     adv = np.stack(
         [
@@ -663,8 +658,9 @@ def energy_report(state: FlowState) -> EnergyReport:
     capillary = 2.0 * state.sigma * integrate_boundary(
         grid, np.sqrt(1.0 + slope ** 2) - 1.0
     )
-    mops = metric_ops(grid, state.d)
-    dissipation = mops.strain_dissipation(v, state.eps)
+    dissipation = 0.0
+    if state.eps > 0:
+        dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,
@@ -691,27 +687,18 @@ class Trajectory:
         if report is not None:
             self.step_reports.append(report)
 
-    @property
-    def dt_output(self):
-        if len(self.times) < 2:
-            return None
-        return self.times[1] - self.times[0]
 
-
-def run(state: FlowState, t_final, dt=None, cfl_factor=0.5, output_every=1,
+def run(state: FlowState, t_final, dt, cfl_factor=0.5, output_every=1,
         on_step=None):
     """Integrate to t_final (or first failure), recording every output_every steps.
 
-    dt = None picks the CFL step once at the start; the step is then held
-    fixed so output times line up across runs.  The trajectory up to a
-    failure is preserved on the Trajectory object.
+    dt = None picks the CFL step once at the start (resolve_dt); the step is
+    then held fixed so output times line up across runs.  The trajectory up
+    to a failure is preserved on the Trajectory object.
     """
     if t_final <= state.t:
         raise ConfigurationError("t_final must exceed the starting time")
-    if dt is None:
-        dt = cfl_dt(state, cfl_factor=cfl_factor)
-        if not np.isfinite(dt):
-            dt = (t_final - state.t) / 100.0
+    dt = resolve_dt(state, t_final, dt, cfl_factor)
     n_steps = max(1, int(np.ceil((t_final - state.t) / dt - 1e-12)))
     dt = (t_final - state.t) / n_steps
     traj = Trajectory()

@@ -202,27 +202,16 @@ class Field:
         return self.values[k]
 
 
-def _apply_axis0(values, op):
-    if values.ndim == 2:
-        return op(values)
-    return np.stack([op(values[k]) for k in range(values.shape[0])])
-
-
 def horizontal_derivative_values(grid, values):
-    """Spectral d/dy of raw samples (axis 0 = horizontal)."""
-
-    def one(v):
-        vh = np.fft.rfft(v, axis=0)
-        vh *= 1j * grid.wavenumbers[:, None]
-        return np.fft.irfft(vh, n=grid.n_y, axis=0)
-
-    return _apply_axis0(np.asarray(values, dtype=float), one)
+    """Spectral d/dy of raw samples (axis -2 = horizontal)."""
+    vh = np.fft.rfft(np.asarray(values, dtype=float), axis=-2)
+    vh *= 1j * grid.wavenumbers[:, None]
+    return np.fft.irfft(vh, n=grid.n_y, axis=-2)
 
 
 def vertical_derivative_values(grid, values):
-    """Finite-difference d/dz of raw samples (axis 1 = vertical)."""
-    D = grid.vertical_derivative_matrix()
-    return _apply_axis0(np.asarray(values, dtype=float), lambda v: v @ D.T)
+    """Finite-difference d/dz of raw samples (axis -1 = vertical)."""
+    return np.asarray(values, dtype=float) @ grid.vertical_derivative_matrix().T
 
 
 def d_horizontal(f: Field) -> Field:

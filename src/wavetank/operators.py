@@ -119,27 +119,11 @@ class MetricMatrices:
     """P and E entries on the grid, with E = (1/c) P P^T checked pointwise.
 
     P = [[c, 0], [-b, 1]],  E = [[c, -b], [-b, (1 + b^2)/c]].
-
-    Built from a Diffeomorphism, or from raw coefficient arrays via
-    from_arrays (manufactured-metric tests).
     """
 
     def __init__(self, d):
         c, b = _metric_arrays(d)
-        self._init_from(d.grid, c, b)
-
-    @classmethod
-    def from_arrays(cls, grid, dzphi_values, grad_y_values):
-        obj = cls.__new__(cls)
-        obj._init_from(
-            grid,
-            np.asarray(dzphi_values, float),
-            np.asarray(grad_y_values, float),
-        )
-        return obj
-
-    def _init_from(self, grid, c, b):
-        self.grid = grid
+        self.grid = d.grid
         self.dzphi = c
         self.P11, self.P12 = c, np.zeros_like(c)
         self.P21, self.P22 = -b, np.ones_like(c)

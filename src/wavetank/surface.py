@@ -107,23 +107,16 @@ class CutoffSpec:
         return out
 
 
-def extension_modes(h: SurfaceState, z_derivative=0, cutoff=CutoffSpec):
-    """Per-mode coefficients of d_z^m eta at every vertical node.
-
-    Returns an array of shape (n_modes, n_z): kappa^m chi^(m)(z kappa) h_hat.
-    """
-    g = h.grid
-    kappa = g.wavenumbers
-    arg = np.outer(kappa, g.z_nodes)
-    prof = cutoff.evaluate(arg, order=z_derivative)
-    return (kappa[:, None] ** z_derivative) * prof * h.h_hat[:, None]
+def cutoff_lift(grid, data_hat):
+    """Interior samples of the cutoff extension of boundary data, given by
+    its rfft coefficients: mode kappa becomes chi(z kappa) data_hat(kappa)."""
+    prof = CutoffSpec.evaluate(np.outer(grid.wavenumbers, grid.z_nodes))
+    return np.fft.irfft(prof * data_hat[:, None], n=grid.n_y, axis=0)
 
 
-def extend_surface(h: SurfaceState, cutoff=CutoffSpec) -> Field:
+def extend_surface(h: SurfaceState) -> Field:
     """Mollified interior extension eta with eta(., 0) = h."""
-    modes = extension_modes(h, z_derivative=0, cutoff=cutoff)
-    eta = np.fft.irfft(modes, n=h.grid.n_y, axis=0)
-    return Field(h.grid, eta)
+    return Field(h.grid, cutoff_lift(h.grid, h.h_hat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +138,6 @@ class Diffeomorphism:
     c0_observed: float
 
     @property
-    def N_interior(self):
-        """Interior normal field (-d_y phi, 1) as a vector Field."""
-        g = self.grid
-        return Field(
-            g, np.stack([-self.grad_y_phi.values, np.ones(g.shape)])
-        )
-
-    @property
     def n_boundary(self):
         """Unit outward normal at z = 0, shape (2, n_y)."""
         slope = self.grad_y_phi.values[:, -1]
@@ -166,7 +151,7 @@ class Diffeomorphism:
         return np.stack([-slope, np.ones_like(slope)])
 
 
-def build_diffeomorphism(h: SurfaceState, A=None, c0=0.5, cutoff=CutoffSpec):
+def build_diffeomorphism(h: SurfaceState, A=None, c0=0.5):
     """Construct the flattening map, failing if min(dz_phi) < c0.
 
     When A is None it is chosen as max(1, 2 max|d_z eta|) so the map starts
@@ -175,7 +160,7 @@ def build_diffeomorphism(h: SurfaceState, A=None, c0=0.5, cutoff=CutoffSpec):
     if c0 <= 0:
         raise ConfigurationError(f"c0 must be positive, got {c0}")
     g = h.grid
-    eta = extend_surface(h, cutoff=cutoff)
+    eta = extend_surface(h)
     dz_eta = vertical_derivative_values(g, eta.values)
     if A is None:
         A = max(1.0, 2.0 * float(np.max(np.abs(dz_eta))))
@@ -215,16 +200,21 @@ def surface_geometry(h: SurfaceState):
     return N_b, n_b, kappa
 
 
+def _rfft_weights(grid):
+    """How often each rfft mode occurs in the full spectrum (Parseval)."""
+    weights = np.full(grid.n_y // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if grid.n_y % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def boundary_sobolev_norm(grid, values, s):
     """|f|_{H^s} on the periodic boundary via the (1 + kappa^2)^{s/2} multiplier."""
     v = np.asarray(values, dtype=float)
     fh = np.fft.rfft(v)
     kappa = grid.wavenumbers
-    weights = np.full(kappa.shape, 2.0)
-    weights[0] = 1.0
-    if grid.n_y % 2 == 0:
-        weights[-1] = 1.0
-    density = weights * (1.0 + kappa ** 2) ** s * np.abs(fh) ** 2
+    density = _rfft_weights(grid) * (1.0 + kappa ** 2) ** s * np.abs(fh) ** 2
     return float(np.sqrt(np.sum(density) * grid.dy / grid.n_y))
 
 
@@ -233,12 +223,7 @@ def tangential_sobolev_norm(grid, values, s):
     v = np.asarray(values, dtype=float)
     if v.ndim == 2:
         v = v[None]
-    kappa = grid.wavenumbers
-    weights = np.full(kappa.shape, 2.0)
-    weights[0] = 1.0
-    if grid.n_y % 2 == 0:
-        weights[-1] = 1.0
-    mult = weights * (1.0 + kappa ** 2) ** s
+    mult = _rfft_weights(grid) * (1.0 + grid.wavenumbers ** 2) ** s
     total = 0.0
     for comp in v:
         fh = np.fft.rfft(comp, axis=0)
@@ -247,7 +232,7 @@ def tangential_sobolev_norm(grid, values, s):
     return float(np.sqrt(total * grid.dy / grid.n_y))
 
 
-def grad_eta_sobolev_norm(h: SurfaceState, s, cutoff=CutoffSpec):
+def grad_eta_sobolev_norm(h: SurfaceState, s):
     """H^s(S) norm of grad(eta) via per-mode analytic z-derivatives.
 
     Sums L2 norms of all mixed derivatives of order <= s applied to both
@@ -258,13 +243,10 @@ def grad_eta_sobolev_norm(h: SurfaceState, s, cutoff=CutoffSpec):
         raise ConfigurationError(f"extension audit supports s in 0..2, got {s}")
     g = h.grid
     kappa = g.wavenumbers
-    weights = np.full(kappa.shape, 2.0)
-    weights[0] = 1.0
-    if g.n_y % 2 == 0:
-        weights[-1] = 1.0
+    weights = _rfft_weights(g)
     wz = g.quadrature_weights_z
     arg = np.outer(kappa, g.z_nodes)
-    profiles = [cutoff.evaluate(arg, order=m) for m in range(s + 2)]
+    profiles = [CutoffSpec.evaluate(arg, order=m) for m in range(s + 2)]
     hh2 = np.abs(h.h_hat) ** 2
     total = 0.0
     for a in range(s + 1):

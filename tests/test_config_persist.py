@@ -95,6 +95,14 @@ class TestParseConfig:
                     "output_every = 0\n", "dt = -0.1\n"):
             with pytest.raises(ConfigurationError):
                 parse_config(doc)
+        # each cadence key is named with its own bound
+        for doc, message in (("output_every = 0\n", "output_every must be >= 1"),
+                             ("snapshot_every = -1\n", "snapshot_every must be >= 0")):
+            with pytest.raises(ConfigurationError) as excinfo:
+                parse_config(doc)
+            key = doc.split(" =")[0]
+            assert message in str(excinfo.value)
+            assert f"key '{key}'" in str(excinfo.value)
 
 
 class TestPresets:

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wavetank import evolution
 from wavetank.elliptic import (
     capillary_trace,
     decompose_pressure,
@@ -435,6 +439,27 @@ class TestEnergyReport:
         assert abs(e.gravitational - np.pi * a**2) < 1e-3 * np.pi * a**2
         assert abs(e.capillary - np.pi * a**2) < 1e-3 * np.pi * a**2
         assert e.kinetic == 0.0
+
+
+class TestStoredOutputs:
+    def test_run_keeps_no_solver_operators_alive(self, monkeypatch):
+        # a stored state holds its fields; the solver operators built for
+        # it at each step and output must be free once they are used
+        built = []
+
+        def recording_metric_ops(grid, d):
+            mops = metric_ops(grid, d)
+            built.append(weakref.ref(mops))
+            return mops
+
+        monkeypatch.setattr(evolution, "metric_ops", recording_metric_ops)
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        st = standing_wave_state(g, a=1e-2, eps=1e-3)
+        traj = run(st, t_final=0.6, dt=0.03)
+        assert traj.failure is None and len(traj.states) == 21
+        gc.collect()
+        alive = sum(ref() is not None for ref in built)
+        assert built and alive == 0, f"{alive} of {len(built)} MetricOps alive"
 
 
 class TestValidation:
