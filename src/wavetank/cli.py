@@ -81,11 +81,12 @@ def _write_status(out: Path, status, error=None):
 
 
 def cmd_run(config: SimulationConfig, out: Path):
+    state = initial_state(config)
+    dt = resolve_dt(state, config.t_final, config.dt, config.cfl_factor)
     traj = run(
-        initial_state(config),
+        state,
         t_final=config.t_final,
-        dt=config.dt,
-        cfl_factor=config.cfl_factor,
+        dt=dt,
         output_every=config.output_every,
     )
     write_series_csv(out / "series.csv", traj)

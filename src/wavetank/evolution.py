@@ -658,9 +658,7 @@ def energy_report(state: FlowState) -> EnergyReport:
     capillary = 2.0 * state.sigma * integrate_boundary(
         grid, np.sqrt(1.0 + slope ** 2) - 1.0
     )
-    dissipation = 0.0
-    if state.eps > 0:
-        dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
+    dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,
@@ -688,17 +686,15 @@ class Trajectory:
             self.step_reports.append(report)
 
 
-def run(state: FlowState, t_final, dt, cfl_factor=0.5, output_every=1,
-        on_step=None):
+def run(state: FlowState, t_final, dt, output_every=1, on_step=None):
     """Integrate to t_final (or first failure), recording every output_every steps.
 
-    dt = None picks the CFL step once at the start (resolve_dt); the step is
-    then held fixed so output times line up across runs.  The trajectory up
-    to a failure is preserved on the Trajectory object.
+    dt is shortened so a whole number of steps ends at t_final, then held
+    fixed so output times line up across runs.  The trajectory up to a
+    failure is preserved on the Trajectory object.
     """
     if t_final <= state.t:
         raise ConfigurationError("t_final must exceed the starting time")
-    dt = resolve_dt(state, t_final, dt, cfl_factor)
     n_steps = max(1, int(np.ceil((t_final - state.t) / dt - 1e-12)))
     dt = (t_final - state.t) / n_steps
     traj = Trajectory()
