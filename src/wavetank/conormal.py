@@ -15,9 +15,10 @@ from .errors import ConfigurationError, HistoryDepthError
 from .grid import (
     Field,
     horizontal_derivative_values,
+    l2_norm,
     vertical_derivative_values,
 )
-from .surface import tangential_sobolev_norm
+from .surface import boundary_sobolev_norm, tangential_sobolev_norm
 
 NORM_FAMILIES = ("Hco", "Wco_inf", "Xms", "Yms")
 
@@ -192,17 +193,13 @@ def conormal_norm(f, family, m, s=0, history=None) -> NormReport:
     total = 0.0
     for idx in _all_indices(m, with_time):
         zf = apply_conormal(None, idx, history=hist).values
-        comps = zf if zf.ndim == 3 else zf[None]
-        for comp in comps:
-            if family == "Hco":
-                term = tangential_sobolev_norm(grid, comp, 0.0) ** 2
-            elif family == "Xms":
-                term = tangential_sobolev_norm(grid, comp, s) ** 2
-            elif family == "Wco_inf":
-                term = _wsinf(grid, comp, s)
-            else:
-                term = _wsinf(grid, comp, s)
-            total += term
+        if family == "Hco":
+            # the s = 0 tangential multiplier is the plain L2 norm (Parseval)
+            total += l2_norm(grid, zf) ** 2
+        elif family == "Xms":
+            total += tangential_sobolev_norm(grid, zf, s) ** 2
+        else:
+            total += sum(_wsinf(grid, comp, s) for comp in zf.reshape(-1, *grid.shape))
     value = float(np.sqrt(total)) if sq_sum else float(total)
     return NormReport(family=family, m=m, s=s, value=value)
 
@@ -219,8 +216,6 @@ def trace_inequality_audit(grid, corpus, s, s1, s2):
     """
     if abs((s1 + s2) - 2.0 * s) > 1e-12:
         raise ConfigurationError("trace audit needs s1 + s2 = 2 s")
-    from .surface import boundary_sobolev_norm
-
     worst = 0.0
     for values in corpus:
         tr = np.asarray(values)[:, -1]

@@ -5,7 +5,7 @@ exact energy identity as a residual series, Korn and reconstruction audits,
 and the viscosity sweep with its boundary-layer profiles.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,20 +27,14 @@ def energy_identity_residual(trajectory):
     """Residual of d/dt(total energy) + dissipation, by centered differences.
 
     Returns (times, residual series, max abs residual) over the interior
-    output levels, and stamps identity_residual onto the trajectory's
-    EnergyReport entries.  Needs at least three stored levels.
+    output levels.  Needs at least three stored levels.
     """
     if len(trajectory.times) < 3:
         raise HistoryDepthError("energy residual needs at least 3 stored levels")
     ts = np.asarray(trajectory.times)
     E = np.array([e.total for e in trajectory.energy])
     D = np.array([e.dissipation_rate for e in trajectory.energy])
-    dEdt = (E[2:] - E[:-2]) / (ts[2:] - ts[:-2])
-    residual = dEdt + D[1:-1]
-    for offset, value in enumerate(residual, start=1):
-        trajectory.energy[offset] = replace(
-            trajectory.energy[offset], identity_residual=float(value)
-        )
+    residual = (E[2:] - E[:-2]) / (ts[2:] - ts[:-2]) + D[1:-1]
     return ts[1:-1], residual, float(np.max(np.abs(residual)))
 
 
@@ -186,7 +180,7 @@ def epsilon_sweep(make_state, eps_list, t_final, dt, output_every=4):
         dzz_tops = []
         top_band = g.z_nodes > -0.25 * g.depth_H
         for s in traj.states:
-            probes.append(conormal_norm(Field(g, s.v.values), "Hco", 2).value)
+            probes.append(conormal_norm(s.v, "Hco", 2).value)
             dzv = vertical_derivative_values(g, s.v.values)
             dz_norms.append(l2_norm(g, dzv))
             dzz = vertical_derivative_values(g, dzv[0])

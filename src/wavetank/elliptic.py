@@ -169,16 +169,13 @@ class EllipticOperator:
         x[free] = sol_f
         return x.reshape(g.shape), iters
 
-    def boundary_flux(self, q_values, load=None):
+    def boundary_flux(self, q_values):
         """Weak conormal flux at z = 0, divided by dy to give nodal values.
 
         For a discrete solution of the homogeneous problem this is the
         Dirichlet-Neumann image (grad f)^b . N.
         """
-        weak = (self.A @ np.ravel(q_values))[self.top_idx]
-        if load is not None:
-            weak = weak - np.ravel(load)[self.top_idx]
-        return weak / self.grid.dy
+        return (self.A @ np.ravel(q_values))[self.top_idx] / self.grid.dy
 
 
 def solve_elliptic(problem: EllipticProblem, tol, operator=None) -> Field:

@@ -620,27 +620,19 @@ def advance(state: FlowState, dt: float):
 
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
-    """Terms of the basic energy identity at one time.
-
-    identity_residual is filled in by the diagnostics layer (it needs
-    neighboring output levels for the time derivative) and is zero until
-    then.
-    """
+    """Terms of the basic energy identity at one time."""
 
     t: float
     kinetic: float
     gravitational: float
     capillary: float
     dissipation_rate: float
-    identity_residual: float = 0.0
 
     def __post_init__(self):
         parts = (self.kinetic, self.gravitational, self.capillary,
                  self.dissipation_rate)
         if any(p < 0 or not np.isfinite(p) for p in parts):
             raise ConfigurationError("energy components must be finite and >= 0")
-        if not np.isfinite(self.identity_residual):
-            raise ConfigurationError("identity residual must be finite")
 
     @property
     def total(self):

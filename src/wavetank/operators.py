@@ -286,19 +286,15 @@ def laplacian_phi_composed(f: Field, d) -> Field:
 # ---------------------------------------------------------------------------
 # Commutators of Z derivatives with the transformed derivatives
 
-def commutator_residual(history, idx: MultiIndex, i, d, metric_history=None) -> Field:
+def commutator_residual(history, idx: MultiIndex, i, d) -> Field:
     """C_i^m(f) = Z^m(d_i^phi f) - d_i^phi(Z^m f) on stored history.
 
-    For time orders k > 0 the transformed derivative is evaluated at each
-    stored level with its own metric (metric_history, oldest first); a single
-    Diffeomorphism d is reused for every level when metric_history is None.
+    The one metric d is used at every stored level, so time orders k > 0
+    see a static metric.
     """
     hist = history if isinstance(history, FieldHistory) else FieldHistory.single(history)
-    metrics = metric_history if metric_history is not None else [d] * hist.depth
-    if len(metrics) != hist.depth:
-        raise ConfigurationError("metric history depth must match field history")
-    g_levels = [dphi_values(i, lv, dl) for lv, dl in zip(hist.levels, metrics)]
+    g_levels = [dphi_values(i, lv, d) for lv in hist.levels]
     g_hist = FieldHistory(hist.grid, g_levels, hist.dt)
     lhs = apply_conormal(None, idx, history=g_hist).values
-    rhs = dphi_values(i, apply_conormal(None, idx, history=hist).values, metrics[-1])
+    rhs = dphi_values(i, apply_conormal(None, idx, history=hist).values, d)
     return Field(hist.grid, lhs - rhs)

@@ -6,13 +6,18 @@ clustering, extension slope, metric floor), then the surface samples, then
 the velocity samples as 64-bit floats.  A snapshot round-trips bit for bit.
 """
 
+import numbers
 import struct
+from collections import namedtuple
+from operator import attrgetter
 
 import numpy as np
 
+from . import conormal
+from .diagnostics import energy_identity_residual
 from .errors import CheckpointError
-from .grid import make_grid, CLUSTERINGS
-from .evolution import FlowState, make_flow_state
+from .grid import make_grid, vertical_derivative_values, CLUSTERINGS
+from .evolution import FlowState, StepReport, make_flow_state
 
 MAGIC = b"WTNK"
 VERSION = 1
@@ -92,25 +97,43 @@ def restore_checkpoint(path) -> FlowState:
 # ---------------------------------------------------------------------------
 # CSV series
 
+# what one series row reads: the stored state, its energy terms, the report of
+# the step that produced it and the energy-identity residual at its time
+SeriesLevel = namedtuple("SeriesLevel", "state energy report identity")
+
+# the initial level was produced by no step
+_NO_STEP = StepReport(
+    dt=0.0, projection_residual=0.0, kinematic_residual=0.0,
+    tangential_stress_residual=0.0, viscous_iterations=0,
+    projection_iterations=0, reprojection_iterations=0,
+)
+
+
+def _max_dz_v_top(level):
+    v = level.state.v
+    return np.max(np.abs(vertical_derivative_values(v.grid, v.values[0])[:, -1]))
+
+
+# (column, its value at one SeriesLevel), in file order
 SERIES_COLUMNS = (
-    "t",
-    "kinetic",
-    "gravitational",
-    "capillary",
-    "total_energy",
-    "dissipation_rate",
-    "projection_residual",
-    "kinematic_residual",
-    "tangential_stress_residual",
-    "identity_residual",
-    "solver_iterations",
-    "hco2_v",
-    "max_dz_v_top",
-    "max_h",
-    "max_v",
-    "viscous_iterations",
-    "projection_iterations",
-    "reprojection_iterations",
+    ("t", attrgetter("state.t")),
+    ("kinetic", attrgetter("energy.kinetic")),
+    ("gravitational", attrgetter("energy.gravitational")),
+    ("capillary", attrgetter("energy.capillary")),
+    ("total_energy", attrgetter("energy.total")),
+    ("dissipation_rate", attrgetter("energy.dissipation_rate")),
+    ("projection_residual", attrgetter("report.projection_residual")),
+    ("kinematic_residual", attrgetter("report.kinematic_residual")),
+    ("tangential_stress_residual", attrgetter("report.tangential_stress_residual")),
+    ("identity_residual", attrgetter("identity")),
+    ("solver_iterations", attrgetter("report.solver_iterations")),
+    ("hco2_v", lambda level: conormal.conormal_norm(level.state.v, "Hco", 2).value),
+    ("max_dz_v_top", _max_dz_v_top),
+    ("max_h", lambda level: level.state.h.max_abs()),
+    ("max_v", lambda level: np.max(np.abs(level.state.v.values))),
+    ("viscous_iterations", attrgetter("report.viscous_iterations")),
+    ("projection_iterations", attrgetter("report.projection_iterations")),
+    ("reprojection_iterations", attrgetter("report.reprojection_iterations")),
 )
 
 
@@ -118,77 +141,48 @@ def _fmt(x):
     return repr(float(x))
 
 
-def write_series_csv(path, trajectory):
-    """One row per stored output level; deterministic float formatting."""
-    from .conormal import conormal_norm
-    from .grid import Field, vertical_derivative_values
+def _cell(x):
+    """Iteration counts as integers, every other value through _fmt."""
+    return str(int(x)) if isinstance(x, numbers.Integral) else _fmt(x)
 
-    rows = [",".join(SERIES_COLUMNS)]
-    reports = [None] + list(trajectory.step_reports)
-    ts = np.asarray(trajectory.times)
-    E = np.array([e.total for e in trajectory.energy])
-    D = np.array([e.dissipation_rate for e in trajectory.energy])
-    identity = np.zeros(len(ts))
-    if len(ts) >= 3:
-        identity[1:-1] = (E[2:] - E[:-2]) / (ts[2:] - ts[:-2]) + D[1:-1]
-    for idx, (state, energy) in enumerate(
-        zip(trajectory.states, trajectory.energy)
-    ):
-        rep = reports[idx] if idx < len(reports) else None
-        grid = state.v.grid
-        hco2 = conormal_norm(Field(grid, state.v.values), "Hco", 2).value
-        dz_top = float(
-            np.max(np.abs(vertical_derivative_values(grid, state.v.values[0])[:, -1]))
-        )
-        row = [
-            _fmt(state.t),
-            _fmt(energy.kinetic),
-            _fmt(energy.gravitational),
-            _fmt(energy.capillary),
-            _fmt(energy.total),
-            _fmt(energy.dissipation_rate),
-            _fmt(rep.projection_residual if rep else 0.0),
-            _fmt(rep.kinematic_residual if rep else 0.0),
-            _fmt(rep.tangential_stress_residual if rep else 0.0),
-            _fmt(identity[idx]),
-            str(int(rep.solver_iterations) if rep else 0),
-            _fmt(hco2),
-            _fmt(dz_top),
-            _fmt(state.h.max_abs()),
-            _fmt(np.max(np.abs(state.v.values))),
-            str(int(rep.viscous_iterations) if rep else 0),
-            str(int(rep.projection_iterations) if rep else 0),
-            str(int(rep.reprojection_iterations) if rep else 0),
-        ]
-        rows.append(",".join(row))
+
+def write_series_csv(path, trajectory):
+    """One row per stored output level; deterministic float formatting.
+
+    identity_residual is energy_identity_residual at the interior levels
+    and 0 at the first and last (and everywhere below three levels).
+    """
+    identity = np.zeros(len(trajectory.times))
+    if len(identity) >= 3:
+        identity[1:-1] = energy_identity_residual(trajectory)[1]
+    reports = [_NO_STEP] + list(trajectory.step_reports)
+    rows = [",".join(name for name, _ in SERIES_COLUMNS)]
+    for fields in zip(trajectory.states, trajectory.energy, reports, identity,
+                      strict=True):
+        level = SeriesLevel(*fields)
+        rows.append(",".join(_cell(value(level)) for _, value in SERIES_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def write_sweep_csv(path, sweep_result):
-    """Cross-viscosity comparison table."""
+    """Cross-viscosity comparison table.
+
+    A comparison that never ran, for a failed member or for every member
+    when the eps = 0 reference failed, reads nan.  The reference's own row
+    reads 0 in the two distance columns.
+    """
+    res = sweep_result
+    tables = (res.sup_v_l2, res.sup_h_h1, res.conormal_max, res.dz_norm_max,
+              res.dzz_top_max)
     rows = ["eps,sup_v_l2,sup_h_h1,conormal_max,dz_norm_max,dzz_top_max,failed"]
-    for eps in sweep_result.eps_list:
-        failed = eps in sweep_result.failed
-        rows.append(
-            ",".join(
-                [
-                    _fmt(eps),
-                    _fmt(sweep_result.sup_v_l2.get(eps, 0.0)),
-                    _fmt(sweep_result.sup_h_h1.get(eps, 0.0)),
-                    _fmt(sweep_result.conormal_max.get(eps, np.nan))
-                    if eps not in sweep_result.failed
-                    else "nan",
-                    _fmt(sweep_result.dz_norm_max.get(eps, np.nan))
-                    if eps not in sweep_result.failed
-                    else "nan",
-                    _fmt(sweep_result.dzz_top_max.get(eps, np.nan))
-                    if eps not in sweep_result.failed
-                    else "nan",
-                    "1" if failed else "0",
-                ]
-            )
-        )
+    for eps in res.eps_list:
+        # conormal_max holds exactly the members that were compared
+        if eps in res.conormal_max:
+            cells = [_fmt(table.get(eps, 0.0)) for table in tables]
+        else:
+            cells = ["nan"] * len(tables)
+        rows.append(",".join([_fmt(eps)] + cells + ["1" if eps in res.failed else "0"]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -50,7 +50,6 @@ def analytic_metric(grid, delta=0.12):
     y = grid.y_nodes[:, None]
     z = grid.z_nodes[None, :]
     profile = np.exp(2.0 * z)
-    eta = delta * np.cos(y) * profile * np.ones(grid.shape)
     c = 1.0 + 2.0 * delta * np.cos(y) * profile * np.ones(grid.shape)
     b = -delta * np.sin(y) * profile * np.ones(grid.shape)
     h = surface_from_values(grid, delta * np.cos(grid.y_nodes))
@@ -58,8 +57,6 @@ def analytic_metric(grid, delta=0.12):
         grid=grid,
         A=1.0,
         h=h,
-        eta=Field(grid, eta),
-        phi=Field(grid, z + eta),
         dzphi=Field(grid, c),
         grad_y_phi=Field(grid, b),
         c0_observed=float(np.min(c)),

@@ -10,13 +10,16 @@ from wavetank.config import (
     parse_config,
     serialize_config,
 )
-from wavetank.errors import CheckpointError, ConfigurationError
-from wavetank.evolution import run
+from wavetank.diagnostics import SweepResult
+from wavetank.errors import CheckpointError, ConfigurationError, StepSizeError
+from wavetank.evolution import make_flow_state, run
 from wavetank.grid import make_grid
 from wavetank.persist import (
+    SERIES_COLUMNS,
     restore_checkpoint,
     save_checkpoint,
     write_series_csv,
+    write_sweep_csv,
 )
 
 
@@ -250,3 +253,67 @@ class TestSeriesCsv:
             assert sum(counts) == int(row["solver_iterations"])
         # the first step starts from rest, so its viscous solve has zero data
         assert all(int(rows[-1][name]) > 0 for name in columns)
+
+    def test_header_and_rows_follow_the_column_table(self, tmp_path):
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        st0 = make_flow_state(
+            g, 1e-3 * np.cos(g.y_nodes), np.zeros((2, g.n_y, g.n_z)), eps=1e-3,
+        )
+        traj = run(st0, t_final=0.06, dt=0.02)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, traj)
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",") == [name for name, _ in SERIES_COLUMNS]
+        assert len(rows) == len(traj.times)
+        assert all(len(row.split(",")) == len(SERIES_COLUMNS) for row in rows)
+
+
+def _sweep_rows(tmp_path, result):
+    import csv
+
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, result)
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+COMPARISONS = ("sup_v_l2", "sup_h_h1", "conormal_max", "dz_norm_max",
+               "dzz_top_max")
+
+
+class TestSweepCsv:
+    EPS = [1e-2, 1e-3, 1e-4, 0.0]
+
+    def _compared(self, members):
+        """A sweep result whose comparisons ran for the given members."""
+        result = SweepResult(eps_list=self.EPS)
+        for eps in members:
+            result.conormal_max[eps] = 1.0 + eps
+            result.dz_norm_max[eps] = 2.0 + eps
+            result.dzz_top_max[eps] = 3.0 + eps
+            if eps > 0.0:
+                result.sup_v_l2[eps] = eps
+                result.sup_h_h1[eps] = 2.0 * eps
+        return result
+
+    def test_failed_member_reads_nan(self, tmp_path):
+        result = self._compared([1e-2, 1e-4, 0.0])
+        result.failed[1e-3] = StepSizeError("dt exceeds the limit")
+        rows = {float(r["eps"]): r for r in _sweep_rows(tmp_path, result)}
+        assert all(rows[1e-3][name] == "nan" for name in COMPARISONS)
+        assert rows[1e-3]["failed"] == "1"
+        assert float(rows[1e-2]["sup_v_l2"]) == 1e-2
+        assert float(rows[1e-4]["sup_h_h1"]) == 2e-4
+        # the reference against itself
+        assert rows[0.0]["sup_v_l2"] == rows[0.0]["sup_h_h1"] == "0.0"
+        assert float(rows[0.0]["conormal_max"]) == 1.0
+        assert all(rows[eps]["failed"] == "0" for eps in (1e-2, 1e-4, 0.0))
+
+    def test_failed_reference_leaves_every_comparison_nan(self, tmp_path):
+        result = self._compared([])
+        result.failed[0.0] = StepSizeError("dt exceeds the limit")
+        rows = _sweep_rows(tmp_path, result)
+        assert [float(r["eps"]) for r in rows] == self.EPS
+        for row in rows:
+            assert all(row[name] == "nan" for name in COMPARISONS)
+        assert [r["failed"] for r in rows] == ["0", "0", "0", "1"]

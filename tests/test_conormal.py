@@ -153,6 +153,29 @@ class TestConormalNorm:
         h0 = conormal_norm(Field(grid, values), "Hco", 1).value
         assert abs(x0 - h0) < 1e-12 * max(1.0, h0)
 
+    @pytest.mark.parametrize("n_y, n_z", [(32, 40), (64, 80)])
+    def test_hco_matches_the_tangential_multiplier_route(self, n_y, n_z):
+        # Parseval: the s = 0 multiplier of H^s_tan is the plain L2 norm, so
+        # the Fourier route is the reference for Hco's direct sum
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi, clustering="tanh",
+                      stretch_gamma=3.0)
+        rng = np.random.default_rng(n_y)
+        fields = (
+            random_smooth_field(g, rng),
+            np.stack([random_smooth_field(g, rng), rng.standard_normal(g.shape)]),
+        )
+        for values in fields:
+            f = Field(g, values)
+            reference = np.sqrt(sum(
+                tangential_sobolev_norm(
+                    g, apply_conormal(f, MultiIndex(alpha=(a1, tot - a1))).values, 0.0
+                ) ** 2
+                for tot in range(3)
+                for a1 in range(tot + 1)
+            ))
+            measured = conormal_norm(f, "Hco", 2).value
+            assert abs(measured - reference) <= 1e-13 * reference
+
     def test_xms_insufficient_history(self, grid, rng):
         f = Field(grid, random_smooth_field(grid, rng))
         with pytest.raises(HistoryDepthError):

@@ -17,6 +17,7 @@ from wavetank.grid import (
     make_grid,
     vertical_derivative_values,
 )
+from wavetank.persist import write_series_csv
 from wavetank.surface import build_diffeomorphism, surface_from_values
 
 
@@ -41,16 +42,32 @@ class TestEnergyResidual:
         with pytest.raises(HistoryDepthError):
             energy_identity_residual(traj)
 
-    def test_residual_stamped_onto_reports(self, wave_grid_small):
+    def test_series_column_is_the_residual(self, wave_grid_small, tmp_path):
+        import csv
+
         g = wave_grid_small
         st = make_flow_state(
             g, 1e-3 * np.cos(g.y_nodes), np.zeros((2, g.n_y, g.n_z)), eps=1e-2
         )
         traj = run(st, t_final=0.3, dt=0.03)
         _, residual, _ = energy_identity_residual(traj)
-        stamped = np.array([e.identity_residual for e in traj.energy])
-        assert np.allclose(stamped[1:-1], residual)
-        assert stamped[0] == 0.0 and stamped[-1] == 0.0
+        path = tmp_path / "series.csv"
+        write_series_csv(path, traj)
+        with open(path, newline="") as fh:
+            column = [row["identity_residual"] for row in csv.DictReader(fh)]
+        # repr round-trips, so the comparison is bit for bit
+        assert np.array_equal(np.array(column[1:-1], dtype=float), residual)
+        assert column[0] == column[-1] == "0.0"
+        assert np.any(residual != 0.0)
+
+        traj.times, traj.states, traj.energy = (
+            traj.times[:2], traj.states[:2], traj.energy[:2]
+        )
+        traj.step_reports = traj.step_reports[:1]
+        write_series_csv(path, traj)
+        with open(path, newline="") as fh:
+            column = [row["identity_residual"] for row in csv.DictReader(fh)]
+        assert column == ["0.0", "0.0"]
 
 
 class TestKornAudit:

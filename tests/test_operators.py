@@ -23,6 +23,7 @@ from wavetank.operators import (
     strain_squared,
     vorticity_phi,
 )
+from wavetank.surface import extend_surface
 from conftest import (
     analytic_metric,
     random_valid_metric,
@@ -61,7 +62,8 @@ class TestDualRoutes:
 
     def test_self_derivative_of_phi(self, grid, rng):
         d = random_valid_metric(grid, rng)
-        assert np.max(np.abs(dphi_values(3, d.phi.values, d) - 1.0)) < TOL
+        phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
+        assert np.max(np.abs(dphi_values(3, phi, d) - 1.0)) < TOL
 
 
 class TestFlatReduction:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank.errors import MetricValidityError
-from wavetank.grid import make_grid
+from wavetank.grid import make_grid, vertical_derivative_values
 from wavetank.surface import (
     CutoffSpec,
     build_diffeomorphism,
@@ -111,7 +111,8 @@ class TestBuildDiffeomorphism:
     def test_flat_surface(self, grid):
         h = surface_from_values(grid, np.zeros(grid.n_y))
         d = build_diffeomorphism(h, A=1.0, c0=0.5)
-        assert np.max(np.abs(d.phi.values - grid.z_nodes[None, :])) < 1e-12
+        phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
+        assert np.max(np.abs(phi - grid.z_nodes[None, :])) < 1e-12
         assert np.max(np.abs(d.dzphi.values - 1.0)) < 1e-12
         N = d.boundary_N
         assert np.allclose(N[0], 0.0) and np.allclose(N[1], 1.0)
@@ -144,9 +145,12 @@ class TestBuildDiffeomorphism:
     def test_trace_of_eta_is_h(self, grid, rng):
         h = random_surface(grid, rng, amplitude=0.2)
         d = build_diffeomorphism(h, A=None, c0=0.25)
-        assert np.max(np.abs(d.eta.values[:, -1] - h.h_values)) < 1e-10
-        recon = d.A * grid.z_nodes[None, :] + d.eta.values
-        assert np.max(np.abs(d.phi.values - recon)) < 1e-12
+        eta = extend_surface(d.h).values
+        assert np.max(np.abs(eta[:, -1] - h.h_values)) < 1e-10
+        # the stored metric is the derivative of phi = A z + eta
+        phi = d.A * grid.z_nodes[None, :] + eta
+        dz_phi = vertical_derivative_values(grid, phi)
+        assert np.max(np.abs(dz_phi - d.dzphi.values)) < 1e-12 * d.A
 
 
 class TestSurfaceGeometry:
