@@ -33,10 +33,13 @@ def iteration_budget(grid):
 def _pcg(A, b, x0, rtol, atol, maxiter, precondition=None):
     """Preconditioned conjugate gradients; returns (x, iterations).
 
-    A is a sparse matrix or a function applying the SPD operator.
-    precondition applies an SPD approximation of the inverse of A; without
-    one the solve is Jacobi-preconditioned, which needs A as a matrix.  The
-    stopping rule is on the unpreconditioned residual.
+    A is a sparse matrix or a function applying the SPD operator; x0 = None
+    is a zero guess and costs no application of A.  precondition returns a
+    new array, an SPD approximation of the inverse of A applied to its
+    argument; without one the solve is Jacobi-preconditioned, which needs A
+    as a matrix.  The stopping rule is on the unpreconditioned residual,
+    tested before preconditioning: k iterations apply A and the
+    preconditioner k times each, plus one A for a given x0.
     """
     if precondition is None:
         diag = A.diagonal()
@@ -48,33 +51,37 @@ def _pcg(A, b, x0, rtol, atol, maxiter, precondition=None):
             return inv_diag * r
 
     apply = A if callable(A) else A.__matmul__
-    x = x0.copy()
-    r = b - apply(x)
-    bnorm = np.linalg.norm(b)
-    target = max(atol, rtol * bnorm)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(maxiter):
-        rnorm = np.linalg.norm(r)
-        if rnorm <= target:
-            return x, it
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - apply(x)
+    target = max(atol, rtol * np.linalg.norm(b))
+    rnorm = float(np.linalg.norm(r))
+    if rnorm <= target:
+        return x, 0
+    p = precondition(r)
+    rz = float(r @ p)
+    for it in range(1, maxiter + 1):
         Ap = apply(p)
         denom = float(p @ Ap)
         if denom <= 0:
             raise SolverFailureError(
-                f"CG breakdown (p.Ap = {denom:.3e})", residual=rnorm, iterations=it
+                f"CG breakdown (p.Ap = {denom:.3e})", residual=rnorm,
+                iterations=it - 1,
             )
         alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= target:
+            return x, it
         z = precondition(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= target:
-        return x, maxiter
     raise SolverFailureError(
         f"CG did not converge in {maxiter} iterations (residual {rnorm:.3e}, "
         f"target {target:.3e})",
@@ -157,7 +164,7 @@ class EllipticOperator:
         x = np.zeros(n)
         x[self.top_idx] = problem.dirichlet_top
         b_f = load[free] - A_fd @ problem.dirichlet_top
-        x0_f = np.zeros(free.size) if x0 is None else np.ravel(x0)[free]
+        x0_f = None if x0 is None else np.ravel(x0)[free]
         sol_f, iters = _pcg(
             A_ff,
             b_f,

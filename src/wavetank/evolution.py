@@ -21,6 +21,7 @@ depends on the surface's amplitude, not on the grid size.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,18 +141,23 @@ class SolverOps:
         lam, Q = np.linalg.eigh(s[:, None] * L * s[None, :])
         self._gram_vectors = s[:, None] * Q
         self._gram_values = lam
+        self._gram_denominator = None
         self._viscous_factor = None
 
     def flat_gram_solve(self, r, A):
         """Exact inverse of the pinned flat-metric Gram operator (top rows
-        pass through): two dense matmuls in z around an rfft in y."""
+        pass through): two dense matmuls in z around an rfft in y, with the
+        spectral denominators computed once per A."""
         ny, nz = self.grid.n_y, self.grid.n_z
         r = r.reshape(ny, nz)
+        if self._gram_denominator is None or self._gram_denominator[0] != A:
+            denominator = self.grid.dy * (
+                A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
+            )
+            self._gram_denominator = (A, denominator)
         V = self._gram_vectors
         modes = np.fft.rfft(r[:, :-1] @ V, axis=0)
-        modes /= self.grid.dy * (
-            A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
-        )
+        modes /= self._gram_denominator[1]
         out = np.empty((ny, nz))
         out[:, :-1] = np.fft.irfft(modes, n=ny, axis=0) @ V.T
         out[:, -1] = r[:, -1]
@@ -272,14 +278,23 @@ class MetricOps:
 
     # -- projection ----------------------------------------------------------
 
+    @cached_property
+    def _gram_coefficients(self):
+        """alpha = w (1 + b^2) / c, beta = w b, gamma = w c; on first use."""
+        w = self.ops.weights
+        return w * (1.0 + self.b ** 2) / self.c, w * self.b, self.wc
+
     def gram(self, psi):
-        """G^T W_c G psi with the surface value of psi pinned (identity rows)."""
-        top = self.ops.top_idx
+        """G^T W_c G psi with the surface value of psi pinned (identity rows),
+        expanded as Dz^T (alpha Dz - beta Dy) - Dy (gamma Dy - beta Dz)."""
+        ops = self.ops
+        alpha, beta, gamma = self._gram_coefficients
         x = psi.copy()
-        x[top] = 0.0
-        g1, g2 = self._grad(x)
-        out = self._grad_t(self.wc * g1, self.wc * g2)
-        out[top] = psi[top]
+        x[ops.top_idx] = 0.0
+        gz, gy = ops.dz_sbp @ x, ops.dy_c @ x
+        out = ops.dz_sbp_t @ (alpha * gz - beta * gy)
+        out -= ops.dy_c @ (gamma * gy - beta * gz)
+        out[ops.top_idx] = psi[ops.top_idx]
         return out
 
     def _solve(self, operator, rhs, x0, precondition):
@@ -308,7 +323,7 @@ class MetricOps:
         rhs[ops.top_idx] = 0.0
         A = self.A
         psi, iters = self._solve(
-            self.gram, rhs, np.zeros(ops.n), lambda r: ops.flat_gram_solve(r, A)
+            self.gram, rhs, None, lambda r: ops.flat_gram_solve(r, A)
         )
         corrected = v - self.gradient(psi)
         if return_iterations:

@@ -121,8 +121,18 @@ class Grid:
             _VERTICAL_CACHE[key] = _sbp_derivative_matrix(self.z_nodes)
         return _VERTICAL_CACHE[key]
 
+    def modal_profile(self, kind, build):
+        """build(grid), an array over (rfft mode, z node), computed once per
+        set of grid parameters and shared read-only by equal grids."""
+        key = self._cache_key(kind) + (self.n_y, self.length_y)
+        if key not in _VERTICAL_CACHE:
+            _VERTICAL_CACHE[key] = build(self)
+            _VERTICAL_CACHE[key].setflags(write=False)
+        return _VERTICAL_CACHE[key]
 
-# Keyed on the node-defining parameters; grids are immutable.
+
+# Keyed on the node-defining parameters (and, for modal profiles, the
+# horizontal ones); grids are immutable.
 _VERTICAL_CACHE = {}
 
 

@@ -17,7 +17,7 @@ from . import conormal
 from .diagnostics import energy_identity_residual
 from .errors import CheckpointError
 from .grid import make_grid, vertical_derivative_values, CLUSTERINGS
-from .evolution import FlowState, StepReport, make_flow_state
+from .evolution import FlowState, make_flow_state
 
 MAGIC = b"WTNK"
 VERSION = 1
@@ -98,15 +98,16 @@ def restore_checkpoint(path) -> FlowState:
 # CSV series
 
 # what one series row reads: the stored state, its energy terms, the report of
-# the step that produced it and the energy-identity residual at its time
+# the step that produced it (None at the initial level) and the
+# energy-identity residual at its time
 SeriesLevel = namedtuple("SeriesLevel", "state energy report identity")
 
-# the initial level was produced by no step
-_NO_STEP = StepReport(
-    dt=0.0, projection_residual=0.0, kinematic_residual=0.0,
-    tangential_stress_residual=0.0, viscous_iterations=0,
-    projection_iterations=0, reprojection_iterations=0,
-)
+
+def _step(name, missing):
+    """The step report's value of name; missing on the initial level, which
+    no step produced (its report is None)."""
+    get = attrgetter(name)
+    return lambda level: missing if level.report is None else get(level.report)
 
 
 def _max_dz_v_top(level):
@@ -122,18 +123,18 @@ SERIES_COLUMNS = (
     ("capillary", attrgetter("energy.capillary")),
     ("total_energy", attrgetter("energy.total")),
     ("dissipation_rate", attrgetter("energy.dissipation_rate")),
-    ("projection_residual", attrgetter("report.projection_residual")),
-    ("kinematic_residual", attrgetter("report.kinematic_residual")),
-    ("tangential_stress_residual", attrgetter("report.tangential_stress_residual")),
+    ("projection_residual", _step("projection_residual", np.nan)),
+    ("kinematic_residual", _step("kinematic_residual", np.nan)),
+    ("tangential_stress_residual", _step("tangential_stress_residual", np.nan)),
     ("identity_residual", attrgetter("identity")),
-    ("solver_iterations", attrgetter("report.solver_iterations")),
+    ("solver_iterations", _step("solver_iterations", 0)),
     ("hco2_v", lambda level: conormal.conormal_norm(level.state.v, "Hco", 2).value),
     ("max_dz_v_top", _max_dz_v_top),
     ("max_h", lambda level: level.state.h.max_abs()),
     ("max_v", lambda level: np.max(np.abs(level.state.v.values))),
-    ("viscous_iterations", attrgetter("report.viscous_iterations")),
-    ("projection_iterations", attrgetter("report.projection_iterations")),
-    ("reprojection_iterations", attrgetter("report.reprojection_iterations")),
+    ("viscous_iterations", _step("viscous_iterations", 0)),
+    ("projection_iterations", _step("projection_iterations", 0)),
+    ("reprojection_iterations", _step("reprojection_iterations", 0)),
 )
 
 
@@ -150,12 +151,14 @@ def write_series_csv(path, trajectory):
     """One row per stored output level; deterministic float formatting.
 
     identity_residual is energy_identity_residual at the interior levels
-    and 0 at the first and last (and everywhere below three levels).
+    and nan, as no centered difference exists, at the first and last (and
+    everywhere below three levels); the initial row's step residuals are
+    nan and its iteration counts 0.
     """
-    identity = np.zeros(len(trajectory.times))
+    identity = np.full(len(trajectory.times), np.nan)
     if len(identity) >= 3:
         identity[1:-1] = energy_identity_residual(trajectory)[1]
-    reports = [_NO_STEP] + list(trajectory.step_reports)
+    reports = [None] + list(trajectory.step_reports)
     rows = [",".join(name for name, _ in SERIES_COLUMNS)]
     for fields in zip(trajectory.states, trajectory.energy, reports, identity,
                       strict=True):

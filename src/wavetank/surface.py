@@ -111,8 +111,11 @@ class CutoffSpec:
 
 def cutoff_lift(grid, data_hat):
     """Interior samples of the cutoff extension of boundary data, given by
-    its rfft coefficients: mode kappa becomes chi(z kappa) data_hat(kappa)."""
-    prof = CutoffSpec.evaluate(np.outer(grid.wavenumbers, grid.z_nodes))
+    its rfft coefficients: mode kappa becomes chi(z kappa) data_hat(kappa).
+    The profile chi(z kappa) is evaluated once per grid."""
+    prof = grid.modal_profile(
+        "cutoff", lambda g: CutoffSpec.evaluate(np.outer(g.wavenumbers, g.z_nodes))
+    )
     return np.fft.irfft(prof * data_hat[:, None], n=grid.n_y, axis=0)
 
 

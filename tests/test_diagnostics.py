@@ -54,11 +54,19 @@ class TestEnergyResidual:
         path = tmp_path / "series.csv"
         write_series_csv(path, traj)
         with open(path, newline="") as fh:
-            column = [row["identity_residual"] for row in csv.DictReader(fh)]
+            rows = list(csv.DictReader(fh))
+        column = [row["identity_residual"] for row in rows]
         # repr round-trips, so the comparison is bit for bit
         assert np.array_equal(np.array(column[1:-1], dtype=float), residual)
-        assert column[0] == column[-1] == "0.0"
+        # no centered difference exists at the ends
+        assert column[0] == column[-1] == "nan"
         assert np.any(residual != 0.0)
+        # the initial row was produced by no step
+        for name in ("projection_residual", "kinematic_residual",
+                     "tangential_stress_residual"):
+            assert rows[0][name] == "nan"
+            assert np.all(np.isfinite([float(row[name]) for row in rows[1:]]))
+        assert rows[0]["solver_iterations"] == "0"
 
         traj.times, traj.states, traj.energy = (
             traj.times[:2], traj.states[:2], traj.energy[:2]
@@ -67,7 +75,7 @@ class TestEnergyResidual:
         write_series_csv(path, traj)
         with open(path, newline="") as fh:
             column = [row["identity_residual"] for row in csv.DictReader(fh)]
-        assert column == ["0.0", "0.0"]
+        assert column == ["nan", "nan"]
 
 
 class TestKornAudit:

@@ -421,6 +421,59 @@ class TestPreconditionedSolves:
         assert max(_solve_iterations(g, d, rng)) <= 20
 
 
+    def test_flat_gram_spectra_follow_A(self, grid, rng):
+        # the stored denominators are rebuilt when A changes and back
+        ops = evolution.SolverOps(grid)
+        r = rng.standard_normal(ops.n)
+        for A in (1.0, 1.7, 1.0):
+            fresh = evolution.SolverOps(grid).flat_gram_solve(r, A)
+            assert np.array_equal(ops.flat_gram_solve(r, A), fresh)
+
+
+class TestSolveWork:
+    """A solve that reports k iterations applies its operator and its
+    preconditioner k times each, plus one operator application for the
+    viscous solve's nonzero first guess."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for owner, attr in ((evolution.MetricOps, "gram"),
+                            (evolution.SolverOps, "flat_gram_solve"),
+                            (evolution.MetricOps, "viscous_operator"),
+                            (evolution.SolverOps, "flat_viscous_solve")):
+            counts[attr] = 0
+
+            def counted(self, *args, _inner=getattr(owner, attr), _attr=attr):
+                counts[_attr] += 1
+                return _inner(self, *args)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return counts
+
+    def test_projection(self, grid, curved_metric, rng, calls):
+        v = rng.standard_normal((2,) + grid.shape)
+        _, k = metric_ops(grid, curved_metric).project(v, return_iterations=True)
+        assert k > 0
+        assert calls["gram"] == calls["flat_gram_solve"] == k
+        assert calls["viscous_operator"] == calls["flat_viscous_solve"] == 0
+
+    def test_viscous_solve(self, grid, curved_metric, rng, calls):
+        v = rng.standard_normal((2,) + grid.shape)
+        _, k = metric_ops(grid, curved_metric).viscous_solve(v, 1e-2, 0.05)
+        assert k > 0
+        assert (calls["viscous_operator"], calls["flat_viscous_solve"]) == (k + 1, k)
+
+    def test_zero_data_returns_at_once(self, grid, curved_metric, calls):
+        mops = metric_ops(grid, curved_metric)
+        zero = np.zeros((2,) + grid.shape)
+        assert mops.project(zero, return_iterations=True)[1] == 0
+        assert mops.viscous_solve(zero, 1e-2, 0.05)[1] == 0
+        # the viscous solve's first guess costs its one operator application
+        assert calls == {"gram": 0, "flat_gram_solve": 0,
+                         "viscous_operator": 1, "flat_viscous_solve": 0}
+
+
 class TestEnergyReport:
     def test_components_nonnegative(self, wave_grid):
         st = standing_wave_state(wave_grid, a=5e-3, eps=1e-2)

@@ -4,6 +4,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetank import grid as grid_module
 from wavetank.errors import MetricValidityError
 from wavetank.grid import make_grid, vertical_derivative_values
 from wavetank.surface import (
@@ -68,6 +69,18 @@ class TestExtendSurface:
             * np.cos(k * grid.y_nodes)[:, None]
         )
         assert np.max(np.abs(eta.values - expected)) < 1e-12
+
+    def test_stored_profile_is_the_evaluated_one(self, monkeypatch, rng):
+        # grids that share their z nodes but not n_y or length_y each get
+        # their own stored profile
+        monkeypatch.setattr(grid_module, "_VERTICAL_CACHE", {})
+        for n_y, length_y in ((32, 2.0 * np.pi), (48, 2.0 * np.pi), (32, 3.0)):
+            g = make_grid(n_y, 40, length_y, 2.0 * np.pi)
+            h = random_surface(g, rng, amplitude=0.3)
+            prof = CutoffSpec.evaluate(np.outer(g.wavenumbers, g.z_nodes))
+            expected = np.fft.irfft(prof * h.h_hat[:, None], n=n_y, axis=0)
+            for _ in range(2):  # built, then read back
+                assert np.array_equal(extend_surface(h).values, expected)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
