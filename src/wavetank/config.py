@@ -77,33 +77,28 @@ class SimulationConfig:
             raise ConfigurationError("eps_list entries must be >= 0 (key 'eps_list')")
 
 
-_INT_KEYS = {"n_y", "n_z", "mode_k", "output_every", "snapshot_every", "seed"}
-_STR_KEYS = {"clustering", "preset", "out_dir"}
-_AUTO_KEYS = {"slope_A", "dt"}
-_LIST_KEYS = {"eps_list"}
+# Each key's kind comes from its declaration: the annotation (int, float,
+# str, or tuple of floats), and a None default marks a key that takes "auto".
+_FIELDS = {f.name: f for f in fields(SimulationConfig)}
 
 
 def _parse_value(key, raw):
+    f = _FIELDS[key]
     raw = raw.strip()
-    if key in _AUTO_KEYS and raw == "auto":
+    if f.default is None and raw == "auto":
         return None
     try:
-        if key in _STR_KEYS:
+        if f.type is str:
             return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            if not raw:
-                return ()
-            return tuple(float(tok) for tok in raw.split(","))
-        return float(raw)
+        if f.type is tuple:
+            return tuple(float(tok) for tok in raw.split(",")) if raw else ()
+        return f.type(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad value {raw!r} for key '{key}'") from exc
 
 
 def parse_config(text) -> SimulationConfig:
     """Parse a key = value document; unknown keys are rejected by name."""
-    known = {f.name for f in fields(SimulationConfig)}
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -112,7 +107,7 @@ def parse_config(text) -> SimulationConfig:
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigurationError(f"unknown key '{key}' (line {lineno})")
         if key in overrides:
             raise ConfigurationError(f"duplicate key '{key}' (line {lineno})")
@@ -120,14 +115,14 @@ def parse_config(text) -> SimulationConfig:
     return SimulationConfig(**overrides)
 
 
-def _format_value(key, value):
-    if key in _AUTO_KEYS and value is None:
+def _format_value(f, value):
+    if f.default is None and value is None:
         return "auto"
-    if key in _LIST_KEYS:
+    if f.type is tuple:
         return ",".join(repr(float(v)) for v in value)
-    if key in _STR_KEYS:
+    if f.type is str:
         return str(value)
-    if key in _INT_KEYS:
+    if f.type is int:
         return str(int(value))
     return repr(float(value))
 
@@ -135,21 +130,20 @@ def _format_value(key, value):
 def serialize_config(config: SimulationConfig) -> str:
     """Canonical text form: every key, declaration order, defaults included."""
     lines = [
-        f"{f.name} = {_format_value(f.name, getattr(config, f.name))}"
-        for f in fields(SimulationConfig)
+        f"{name} = {_format_value(f, getattr(config, name))}"
+        for name, f in _FIELDS.items()
     ]
     return "\n".join(lines) + "\n"
 
 
 def apply_overrides(config: SimulationConfig, pairs) -> SimulationConfig:
     """Apply key=value strings from the command line."""
-    known = {f.name for f in fields(SimulationConfig)}
     updates = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigurationError(f"override {pair!r} is not key=value")
         key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigurationError(f"unknown key '{key}' in override")
         updates[key] = _parse_value(key, raw)
     return replace(config, **updates)

@@ -34,10 +34,6 @@ class MultiIndex:
         if self.k < 0 or any(a < 0 for a in self.alpha) or len(self.alpha) != 2:
             raise ConfigurationError(f"bad multi-index {self}")
 
-    @property
-    def total(self):
-        return self.k + sum(self.alpha)
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -73,9 +69,6 @@ class FieldHistory:
     def depth(self):
         return len(self.levels)
 
-    def newest(self):
-        return self.levels[-1]
-
     def time_derivative(self, k):
         """k-th backward difference at the newest level, divided by dt^k."""
         if k == 0:
@@ -98,29 +91,18 @@ def _binom(n, j):
     return out
 
 
-def half_order(m):
-    """The m/2 convention for co-normal orders: floor, since fractional
-    co-normal derivatives do not exist (Z3 to a half power is meaningless)."""
-    return m // 2
-
-
 def z3_weight(grid):
     """The co-normal vertical weight z/(1-z), zero at the surface."""
     z = grid.z_nodes
     return z / (1.0 - z)
 
 
-def apply_z1(grid, values):
-    return horizontal_derivative_values(grid, values)
-
-
 def apply_z3(grid, values):
-    w = z3_weight(grid)
-    dz = vertical_derivative_values(grid, values)
-    return w[None, None, :] * dz if dz.ndim == 3 else w[None, :] * dz
+    return z3_weight(grid) * vertical_derivative_values(grid, values)
 
 
-def _as_history(f):
+def as_history(f):
+    """A FieldHistory as given, or a Field as a one-level history."""
     if isinstance(f, FieldHistory):
         return f
     if isinstance(f, Field):
@@ -128,12 +110,13 @@ def _as_history(f):
     raise ConfigurationError(f"expected Field or FieldHistory, got {type(f)}")
 
 
-def apply_conormal(f, idx: MultiIndex, history=None) -> Field:
-    """Apply dt^k Z1^a1 Z3^a3.  Spatial parts act on the newest level."""
-    hist = _as_history(history if history is not None else f)
+def apply_conormal(f, idx: MultiIndex) -> Field:
+    """Apply dt^k Z1^a1 Z3^a3 to a Field or FieldHistory.  Spatial parts act
+    on the newest level; Z1 = d_y."""
+    hist = as_history(f)
     vals = hist.time_derivative(idx.k)
     for _ in range(idx.alpha[0]):
-        vals = apply_z1(hist.grid, vals)
+        vals = horizontal_derivative_values(hist.grid, vals)
     for _ in range(idx.alpha[1]):
         vals = apply_z3(hist.grid, vals)
     return Field(hist.grid, vals)
@@ -152,7 +135,7 @@ def _all_indices(max_total, with_time):
                 yield MultiIndex(k=k, alpha=alpha)
 
 
-def _linf(grid, values):
+def _linf(values):
     return float(np.max(np.abs(values)))
 
 
@@ -168,19 +151,19 @@ def _wsinf(grid, values, s):
                 d = horizontal_derivative_values(grid, d)
             for _ in range(b):
                 d = vertical_derivative_values(grid, d)
-            total += _linf(grid, d)
+            total += _linf(d)
     return total
 
 
-def conormal_norm(f, family, m, s=0, history=None) -> NormReport:
-    """Norm of one of the four families over a field or stored history.
+def conormal_norm(f, family, m, s=0) -> NormReport:
+    """Norm of one of the four families over a Field or stored FieldHistory.
 
     Hco:     sqrt(sum_{|alpha| <= m} |Z^alpha f|_L2^2), plain dy dz measure.
     Wco_inf: sum_{|alpha| <= m} |Z^alpha f|_{W^{s,inf}}.
     Xms:     sqrt(sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{H^s_tan}^2).
     Yms:     sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{W^{s,inf}}.
     """
-    hist = _as_history(history if history is not None else f)
+    hist = as_history(f)
     grid = hist.grid
     if family not in NORM_FAMILIES:
         raise ConfigurationError(f"unknown norm family {family!r}")
@@ -192,7 +175,7 @@ def conormal_norm(f, family, m, s=0, history=None) -> NormReport:
     sq_sum = family in ("Hco", "Xms")
     total = 0.0
     for idx in _all_indices(m, with_time):
-        zf = apply_conormal(None, idx, history=hist).values
+        zf = apply_conormal(hist, idx).values
         if family == "Hco":
             # the s = 0 tangential multiplier is the plain L2 norm (Parseval)
             total += l2_norm(grid, zf) ** 2
@@ -202,11 +185,6 @@ def conormal_norm(f, family, m, s=0, history=None) -> NormReport:
             total += sum(_wsinf(grid, comp, s) for comp in zf.reshape(-1, *grid.shape))
     value = float(np.sqrt(total)) if sq_sum else float(total)
     return NormReport(family=family, m=m, s=s, value=value)
-
-
-def trace_to_boundary(f: Field) -> np.ndarray:
-    """Restriction to z = 0 (per component for vectors)."""
-    return f.values[..., -1].copy()
 
 
 def trace_inequality_audit(grid, corpus, s, s1, s2):
@@ -235,7 +213,7 @@ def anisotropic_embedding_audit(grid, corpus, s1=2.0, s2=1.0):
         raise ConfigurationError("embedding audit needs s1 + s2 > 2")
     worst = 0.0
     for values in corpus:
-        lhs = _linf(grid, np.asarray(values)) ** 2
+        lhs = _linf(np.asarray(values)) ** 2
         dz = vertical_derivative_values(grid, values)
         rhs = tangential_sobolev_norm(grid, dz, s2) * tangential_sobolev_norm(
             grid, values, s1

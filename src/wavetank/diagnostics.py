@@ -59,7 +59,7 @@ def korn_audit(corpus):
     return worst
 
 
-def sn_reconstruction_audit(v, d=None):
+def sn_reconstruction_audit(v, d):
     """Check that d_z v at the surface is recoverable from boundary data.
 
     The normal part comes from the divergence-free identity
@@ -67,20 +67,14 @@ def sn_reconstruction_audit(v, d=None):
     component S_n = Pi((S_phi v) n) together with horizontal derivatives of
     the trace.  Solves the pointwise 2x2 system and returns the max
     discrepancy against the actual vertical derivative.
-
-    Accepts either (velocity Field, Diffeomorphism) or a FlowState.
     """
-    if d is None:
-        v, d = v.v, v.d
     g = v.grid
     w_true = vertical_derivative_values(g, v.values)[..., -1]
-    dy_v1 = horizontal_derivative_values(g, v.values[0])[:, -1]
-    dy_v2 = horizontal_derivative_values(g, v.values[1])[:, -1]
+    dy_v1, dy_v2 = horizontal_derivative_values(g, v.values)[..., -1]
     c = d.dzphi.values[:, -1]
     b = d.grad_y_phi.values[:, -1]
-    mag = np.sqrt(1.0 + b ** 2)
-    n1, n2 = -b / mag, 1.0 / mag
-    t1, t2 = 1.0 / mag, b / mag
+    n1, n2 = d.n_boundary
+    t1, t2 = n2, -n1
 
     s = strain_phi(v, d).values[..., -1]
     sn_1 = s[0] * n1 + s[1] * n2
@@ -90,7 +84,7 @@ def sn_reconstruction_audit(v, d=None):
     cross = n1 * t2 + n2 * t1
     # rows of the 2x2 system for w = d_z v(., 0)
     a11, a12 = n1, n2
-    r1 = -(c / mag) * dy_v1
+    r1 = -c * n2 * dy_v1
     a21 = -(b / c) * n1 * t1 + 0.5 * (1.0 / c) * cross
     a22 = (1.0 / c) * n2 * t2 - 0.5 * (b / c) * cross
     r2 = sn_tau - (dy_v1 * n1 * t1 + 0.5 * dy_v2 * cross)

@@ -19,8 +19,8 @@ from .operators import (
     MetricMatrices,
     divergence_form_matrix,
     dual_areas,
-    dphi_values,
     flux_load,
+    jacobian_phi,
     strain_phi,
 )
 from .surface import cutoff_lift, surface_geometry
@@ -238,13 +238,8 @@ class PressureSplit:
 
 def advection_term(v: Field, d) -> np.ndarray:
     """(v . grad_phi) v, componentwise, shape (2, n_y, n_z)."""
-    v1, v2 = v.values[0], v.values[1]
-    out = np.empty_like(v.values)
-    for k in range(2):
-        out[k] = v1 * dphi_values(1, v.values[k], d) + v2 * dphi_values(
-            3, v.values[k], d
-        )
-    return out
+    j1, j3 = jacobian_phi(v.values, d)
+    return v.values[0] * j1 + v.values[1] * j3
 
 
 def surface_traction_parts(s_top, d):
@@ -338,11 +333,8 @@ def qE_inner_split(v: Field, d, g, tol=1e-10):
     qE1, _ = op.solve(
         EllipticProblem(metric=metric, dirichlet_top=g * d.h.h_values), tol
     )
-    j11 = dphi_values(1, v.values[0], d)
-    j12 = dphi_values(1, v.values[1], d)
-    j21 = dphi_values(3, v.values[0], d)
-    j22 = dphi_values(3, v.values[1], d)
-    source = j11 ** 2 + 2.0 * j12 * j21 + j22 ** 2
+    j1, j3 = jacobian_phi(v.values, d)
+    source = j1[0] ** 2 + 2.0 * j1[1] * j3[0] + j3[1] ** 2
     qE2, _ = op.solve(
         EllipticProblem(
             metric=metric, dirichlet_top=np.zeros(d.grid.n_y), rhs=source

@@ -565,13 +565,9 @@ def advance(state: FlowState, dt: float):
     c = d_half.dzphi.values
     eta_t = cutoff_lift(grid, np.fft.rfft(w0))
     vz = (v0[1] - b * v0[0] - eta_t) / c
-    adv = np.stack(
-        [
-            v0[0] * horizontal_derivative_values(grid, v0[0])
-            + vz * vertical_derivative_values(grid, v0[0]),
-            v0[0] * horizontal_derivative_values(grid, v0[1])
-            + vz * vertical_derivative_values(grid, v0[1]),
-        ]
+    adv = (
+        v0[0] * horizontal_derivative_values(grid, v0)
+        + vz * vertical_derivative_values(grid, v0)
     )
     v_adv = v0 - dt * adv
 

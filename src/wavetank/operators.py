@@ -1,11 +1,13 @@
 """Differential operators pulled back to the fixed strip.
 
-Every first-order operator has two evaluation routes: the componentwise
-formula d_i - (d_i phi / d_z phi) d_z, and the matrix route through
-P = [[c, 0], [-b, 1]] with c = d_z phi, b = d_y phi.  Because the stored
-metric fields are produced by the same discrete derivative matrices used
-here (which commute exactly across axes), the two routes agree to rounding,
-which is the primary correctness oracle for this module.
+Every first-order operator (gradient, divergence, strain, vorticity) has
+two evaluation routes: the componentwise route through jacobian_phi, the
+formula d_i - (d_i phi / d_z phi) d_z applied to every component at once,
+and the matrix route through P = [[c, 0], [-b, 1]] with c = d_z phi,
+b = d_y phi.  Because the stored metric fields are produced by the same
+discrete derivative matrices used here (which commute exactly across axes),
+the two routes agree to rounding, which is the primary correctness oracle
+for this module.
 
 The divergence-form Laplacian (1/c) div(E grad .) is assembled as a symmetric
 bilinear-element stiffness matrix with cell-averaged E; the elliptic solves
@@ -21,32 +23,31 @@ from .grid import (
     horizontal_derivative_values,
     vertical_derivative_values,
 )
-from .conormal import FieldHistory, MultiIndex, apply_conormal
+from .conormal import FieldHistory, MultiIndex, apply_conormal, as_history
 
 
 def _metric_arrays(d):
     return d.dzphi.values, d.grad_y_phi.values
 
 
-def dphi_values(i, values, d):
-    """Componentwise transformed derivative of raw samples, i in {1, 3}."""
+def jacobian_phi(values, d):
+    """Transformed derivatives (d1_phi f, d3_phi f) of raw samples.
+
+    d1_phi = d_y - (b / c) d_z and d3_phi = d_z / c, componentwise for
+    vector samples: one horizontal and one vertical derivative pass serve
+    both directions, and the metric broadcasts over leading axes.
+    """
     c, b = _metric_arrays(d)
-    if i == 1:
-        dy = horizontal_derivative_values(d.grid, values)
-        dz = vertical_derivative_values(d.grid, values)
-        return dy - (b / c) * dz if values.ndim == 2 else dy - (b / c)[None] * dz
-    if i == 3:
-        dz = vertical_derivative_values(d.grid, values)
-        return dz / c if values.ndim == 2 else dz / c[None]
-    raise ConfigurationError(f"transformed derivative index must be 1 or 3, got {i}")
+    dy = horizontal_derivative_values(d.grid, values)
+    dz = vertical_derivative_values(d.grid, values)
+    return dy - (b / c) * dz, dz / c
 
 
 def grad_phi(f: Field, d) -> Field:
     """Transformed gradient, componentwise route."""
-    v = f.values
-    if v.ndim != 2:
+    if f.values.ndim != 2:
         raise ConfigurationError("grad_phi expects a scalar field")
-    return Field(d.grid, np.stack([dphi_values(1, v, d), dphi_values(3, v, d)]))
+    return Field(d.grid, np.stack(jacobian_phi(f.values, d)))
 
 
 def grad_phi_matrix(f: Field, d) -> Field:
@@ -61,9 +62,8 @@ def div_phi(v: Field, d) -> Field:
     """Transformed divergence, componentwise route."""
     if v.components != 2:
         raise ConfigurationError("div_phi expects a two-component field")
-    return Field(
-        d.grid, dphi_values(1, v.values[0], d) + dphi_values(3, v.values[1], d)
-    )
+    j1, j3 = jacobian_phi(v.values, d)
+    return Field(d.grid, j1[0] + j3[1])
 
 
 def div_phi_matrix(v: Field, d) -> Field:
@@ -92,11 +92,8 @@ def strain_phi(v: Field, d) -> Field:
     """
     if v.components != 2:
         raise ConfigurationError("strain_phi expects a two-component field")
-    v1, v2 = v.values[0], v.values[1]
-    s11 = dphi_values(1, v1, d)
-    s22 = dphi_values(3, v2, d)
-    s12 = 0.5 * (dphi_values(1, v2, d) + dphi_values(3, v1, d))
-    return Field(d.grid, np.stack([s11, s12, s22]))
+    j1, j3 = jacobian_phi(v.values, d)
+    return Field(d.grid, np.stack([j1[0], 0.5 * (j1[1] + j3[0]), j3[1]]))
 
 
 def strain_squared(strain: Field) -> np.ndarray:
@@ -107,9 +104,8 @@ def strain_squared(strain: Field) -> np.ndarray:
 
 def vorticity_phi(v: Field, d) -> Field:
     """Transformed scalar curl d1_phi v2 - d3_phi v1 (diagnostic field)."""
-    return Field(
-        d.grid, dphi_values(1, v.values[1], d) - dphi_values(3, v.values[0], d)
-    )
+    j1, j3 = jacobian_phi(v.values, d)
+    return Field(d.grid, j1[1] - j3[0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +160,6 @@ def _reference_gradients():
     return out
 
 _REF_GRAD = _reference_gradients()
-_REF_VALUE = np.array(
-    [
-        [0.25 * (1.0 + sx * x) * (1.0 + sz * z) for (sx, sz) in _CORNER_SIGNS]
-        for z in _GAUSS
-        for x in _GAUSS
-    ]
-)  # (4 pts, 4 nodes) with the same point ordering as _REF_GRAD
 
 
 def _cell_average(nodal):
@@ -191,23 +180,27 @@ def _cell_node_indices(grid):
     return np.stack([sw, se, nw, ne], axis=-1)  # (ny, nz-1, 4)
 
 
+def _cell_gradients(grid):
+    """Physical shape-function gradients at the Gauss points, gy (4, 4) and
+    gz (nz-1, 4, 4), and the cell Jacobian jac (nz-1,): the reference
+    gradients scaled by (2/dy, 2/dz_i)."""
+    dy = grid.dy
+    dz = np.diff(grid.z_nodes)
+    gy = _REF_GRAD[:, :, 0] * 2.0 / dy
+    gz = _REF_GRAD[:, :, 1][None, :, :] * (2.0 / dz)[:, None, None]
+    return gy, gz, dy * dz / 4.0
+
+
 def divergence_form_matrix(grid, E11, E12, E22):
     """Stiffness matrix of the form integral(grad p . E grad q) dy dz.
 
     Symmetric by construction; rows/columns ordered by node index j*n_z + i.
     """
     ny, nz = grid.n_y, grid.n_z
-    dy = grid.dy
-    dz = np.diff(grid.z_nodes)  # (nz-1,)
     e11 = _cell_average(E11)
     e12 = _cell_average(E12)
     e22 = _cell_average(E22)
-
-    # physical gradients: scale reference by (2/dy, 2/dz_i)
-    gy = _REF_GRAD[:, :, 0] * 2.0 / dy            # (4, 4)
-    gz = _REF_GRAD[:, :, 1][None, :, :] * (2.0 / dz)[:, None, None]  # (nz-1, 4, 4)
-
-    jac = dy * dz / 4.0                            # (nz-1,)
+    gy, gz, jac = _cell_gradients(grid)
     a_yy = np.einsum("ga,gb->ab", gy, gy)          # (4, 4)
     a_yz = np.einsum("ga,igb->iab", gy, gz)        # (nz-1, 4, 4)
     a_zy = np.transpose(a_yz, (0, 2, 1))
@@ -239,13 +232,9 @@ def flux_load(grid, F1, F2):
 
     F is taken cellwise (corner average), matching the stiffness quadrature.
     """
-    dy = grid.dy
-    dz = np.diff(grid.z_nodes)
     f1 = _cell_average(np.asarray(F1, float))
     f2 = _cell_average(np.asarray(F2, float))
-    jac = dy * dz / 4.0
-    gy = _REF_GRAD[:, :, 0] * 2.0 / dy
-    gz = _REF_GRAD[:, :, 1][None, :, :] * (2.0 / dz)[:, None, None]
+    gy, gz, jac = _cell_gradients(grid)
     int_gy = jac[:, None] * gy.sum(axis=0)[None, :]        # (nz-1, 4)
     int_gz = jac[:, None] * gz.sum(axis=1)                  # (nz-1, 4)
     contrib = -(f1[:, :, None] * int_gy[None] + f2[:, :, None] * int_gz[None])
@@ -286,15 +275,18 @@ def laplacian_phi_composed(f: Field, d) -> Field:
 # ---------------------------------------------------------------------------
 # Commutators of Z derivatives with the transformed derivatives
 
-def commutator_residual(history, idx: MultiIndex, i, d) -> Field:
-    """C_i^m(f) = Z^m(d_i^phi f) - d_i^phi(Z^m f) on stored history.
+def commutator_residual(f, idx: MultiIndex, i, d) -> Field:
+    """C_i^m(f) = Z^m(d_i^phi f) - d_i^phi(Z^m f), i in {1, 3}, on a Field
+    or stored FieldHistory.
 
     The one metric d is used at every stored level, so time orders k > 0
     see a static metric.
     """
-    hist = history if isinstance(history, FieldHistory) else FieldHistory.single(history)
-    g_levels = [dphi_values(i, lv, d) for lv in hist.levels]
-    g_hist = FieldHistory(hist.grid, g_levels, hist.dt)
-    lhs = apply_conormal(None, idx, history=g_hist).values
-    rhs = dphi_values(i, apply_conormal(None, idx, history=hist).values, d)
+    if i not in (1, 3):
+        raise ConfigurationError(f"transformed derivative index must be 1 or 3, got {i}")
+    pick = 0 if i == 1 else 1
+    hist = as_history(f)
+    g_levels = [jacobian_phi(lv, d)[pick] for lv in hist.levels]
+    lhs = apply_conormal(FieldHistory(hist.grid, g_levels, hist.dt), idx).values
+    rhs = jacobian_phi(apply_conormal(hist, idx).values, d)[pick]
     return Field(hist.grid, lhs - rhs)

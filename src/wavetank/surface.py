@@ -26,7 +26,7 @@ class SurfaceState:
 
     grid: Grid
     h_values: np.ndarray = field(repr=False)
-    h_hat: np.ndarray = field(repr=False)
+    h_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.h_values, dtype=float)
@@ -49,7 +49,7 @@ class SurfaceState:
 
 
 def surface_from_values(grid, h_values):
-    return SurfaceState(grid=grid, h_values=np.asarray(h_values, float), h_hat=None)
+    return SurfaceState(grid=grid, h_values=np.asarray(h_values, float))
 
 
 class CutoffSpec:

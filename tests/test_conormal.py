@@ -8,16 +8,14 @@ from wavetank.conormal import (
     MultiIndex,
     anisotropic_embedding_audit,
     apply_conormal,
-    apply_z1,
     apply_z3,
     conormal_norm,
     random_smooth_field,
     trace_inequality_audit,
-    trace_to_boundary,
     z3_weight,
 )
 from wavetank.errors import ConfigurationError, HistoryDepthError
-from wavetank.grid import Field, make_grid
+from wavetank.grid import Field, horizontal_derivative_values, make_grid
 from wavetank.surface import tangential_sobolev_norm
 
 
@@ -62,8 +60,8 @@ class TestApplyConormal:
 
     def test_z_operators_commute(self, grid, rng):
         f = random_smooth_field(grid, rng)
-        ab = apply_z1(grid, apply_z3(grid, f))
-        ba = apply_z3(grid, apply_z1(grid, f))
+        ab = horizontal_derivative_values(grid, apply_z3(grid, f))
+        ba = apply_z3(grid, horizontal_derivative_values(grid, f))
         scale = np.max(np.abs(ab)) + 1e-30
         assert np.max(np.abs(ab - ba)) / scale < 1e-12
 
@@ -72,30 +70,23 @@ class TestApplyConormal:
         dt = 0.1
         levels = [(1.0 + 2.0 * (k * dt)) * shape_fn for k in range(3)]
         hist = FieldHistory(grid, levels, dt)
-        out = apply_conormal(None, MultiIndex(k=1), history=hist)
+        out = apply_conormal(hist, MultiIndex(k=1))
         assert np.max(np.abs(out.values - 2.0 * shape_fn)) < 1e-10
         quad = [(k * dt) ** 2 * shape_fn for k in range(4)]
         hist2 = FieldHistory(grid, quad, dt)
-        out2 = apply_conormal(None, MultiIndex(k=2), history=hist2)
+        out2 = apply_conormal(hist2, MultiIndex(k=2))
         assert np.max(np.abs(out2.values - 2.0 * shape_fn)) < 1e-9
 
     def test_history_depth_error(self, grid):
         hist = FieldHistory(grid, [np.zeros(grid.shape)], 0.1)
         with pytest.raises(HistoryDepthError):
-            apply_conormal(None, MultiIndex(k=1), history=hist)
+            apply_conormal(hist, MultiIndex(k=1))
 
     def test_bad_multi_index(self):
         with pytest.raises(ConfigurationError):
             MultiIndex(k=-1)
         with pytest.raises(ConfigurationError):
             MultiIndex(alpha=(1, -2))
-
-    def test_half_order_floors(self):
-        from wavetank.conormal import half_order
-
-        assert half_order(4) == 2
-        assert half_order(5) == 2
-        assert half_order(9) == 4
 
 
 class TestConormalNorm:
@@ -105,7 +96,7 @@ class TestConormalNorm:
         for family in ("Hco", "Wco_inf"):
             assert conormal_norm(f, family, 2, s=0).value == 0.0
         for family in ("Xms", "Yms"):
-            assert conormal_norm(None, family, 2, s=0, history=zero_history).value == 0.0
+            assert conormal_norm(zero_history, family, 2, s=0).value == 0.0
 
     def test_sine_against_quadrature_oracle(self, grid):
         f_values = np.tile(np.sin(grid.y_nodes)[:, None], (1, grid.n_z))
@@ -145,8 +136,8 @@ class TestConormalNorm:
     def test_xms_adds_tangential_layer(self, grid, rng):
         values = random_smooth_field(grid, rng)
         steady = FieldHistory(grid, [values, values], dt=0.1)
-        x0 = conormal_norm(None, "Xms", 1, s=0, history=steady).value
-        x1 = conormal_norm(None, "Xms", 1, s=1.0, history=steady).value
+        x0 = conormal_norm(steady, "Xms", 1, s=0).value
+        x1 = conormal_norm(steady, "Xms", 1, s=1.0).value
         assert x1 >= x0
         # with a steady history the time-derivative terms vanish, so
         # X^{1,0} collapses onto the co-normal norm
@@ -183,16 +174,6 @@ class TestConormalNorm:
 
 
 class TestTraceAndEmbedding:
-    def test_trace_values(self, grid):
-        f = Field(
-            grid,
-            np.exp(grid.z_nodes)[None, :] * np.cos(grid.y_nodes)[:, None],
-        )
-        tr = trace_to_boundary(f)
-        assert np.max(np.abs(tr - np.cos(grid.y_nodes))) < 1e-13
-        zero = Field(grid, np.zeros(grid.shape))
-        assert np.max(np.abs(trace_to_boundary(zero))) == 0.0
-
     def test_trace_constant_stable_under_refinement(self):
         # one continuum corpus, evaluated on nested grids
         from wavetank.conormal import evaluate_smooth_field, smooth_field_params

@@ -135,9 +135,9 @@ class TestSnReconstruction:
         v = Field(grid, np.zeros((2, grid.n_y, grid.n_z)))
         assert sn_reconstruction_audit(v, curved_metric) == 0.0
 
-    def test_accepts_flow_state(self, wave_grid_small):
+    def test_zero_flow_state(self, wave_grid_small):
         st = zero_state(wave_grid_small)
-        assert sn_reconstruction_audit(st) == 0.0
+        assert sn_reconstruction_audit(st.v, st.d) == 0.0
 
     def test_flat_solenoidal_fd_order(self):
         # continuum-solenoidal analytic samples: the discrete divergence

@@ -19,7 +19,7 @@ from wavetank.errors import (
     SolverFailureError,
 )
 from wavetank.grid import Field, l2_norm, make_grid
-from wavetank.operators import MetricMatrices, dphi_values
+from wavetank.operators import MetricMatrices, jacobian_phi
 from wavetank.surface import (
     boundary_sobolev_norm,
     build_diffeomorphism,
@@ -312,11 +312,11 @@ class TestQEInnerSplit:
             from wavetank.elliptic import advection_term
 
             adv = advection_term(v, d)
-            div_route = dphi_values(1, adv[0], d) + dphi_values(3, adv[1], d)
-            j11 = dphi_values(1, v1, d)
-            j12 = dphi_values(1, v2, d)
-            j21 = dphi_values(3, v1, d)
-            j22 = dphi_values(3, v2, d)
+            div_route = jacobian_phi(adv[0], d)[0] + jacobian_phi(adv[1], d)[1]
+            j11 = jacobian_phi(v1, d)[0]
+            j12 = jacobian_phi(v2, d)[0]
+            j21 = jacobian_phi(v1, d)[1]
+            j22 = jacobian_phi(v2, d)[1]
             trace_route = j11**2 + 2.0 * j12 * j21 + j22**2
             band = (g.z_nodes > -g.depth_H + 0.5) & (g.z_nodes < -0.3)
             errors.append(np.max(np.abs((div_route - trace_route)[:, band])))
@@ -329,10 +329,10 @@ class TestQEInnerSplit:
         qE1, qE2 = qE_inner_split(v, d, g=1.0, tol=tol)
         mm = MetricMatrices(d)
         op = EllipticOperator(grid, mm)
-        j11 = dphi_values(1, v.values[0], d)
-        j12 = dphi_values(1, v.values[1], d)
-        j21 = dphi_values(3, v.values[0], d)
-        j22 = dphi_values(3, v.values[1], d)
+        j11 = jacobian_phi(v.values[0], d)[0]
+        j12 = jacobian_phi(v.values[1], d)[0]
+        j21 = jacobian_phi(v.values[0], d)[1]
+        j22 = jacobian_phi(v.values[1], d)[1]
         source = j11**2 + 2.0 * j12 * j21 + j22**2
         q_direct, _ = op.solve(
             EllipticProblem(

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 import sympy
 
 from wavetank.conormal import FieldHistory, MultiIndex, apply_z3
+from wavetank.errors import ConfigurationError
 from wavetank.grid import (
     Field,
     horizontal_derivative_values,
@@ -13,9 +15,9 @@ from wavetank.operators import (
     commutator_residual,
     div_phi,
     div_phi_matrix,
-    dphi_values,
     grad_phi,
     grad_phi_matrix,
+    jacobian_phi,
     laplacian_phi,
     laplacian_phi_composed,
     laplacian_phi_weak_form,
@@ -60,10 +62,21 @@ class TestDualRoutes:
             matrix = laplacian_phi_composed(f, d).values
             assert _scaled_gap(composed, matrix) < TOL
 
+    def test_strain_and_vorticity_routes_machine_equal(self, grid, rng):
+        # matrix route: the transformed gradient of each velocity component
+        for _ in range(10):
+            d = random_valid_metric(grid, rng)
+            v = smooth_vector(grid, rng)
+            g1 = grad_phi_matrix(Field(grid, v.values[0]), d).values
+            g2 = grad_phi_matrix(Field(grid, v.values[1]), d).values
+            strain = np.stack([g1[0], 0.5 * (g2[0] + g1[1]), g2[1]])
+            assert _scaled_gap(strain_phi(v, d).values, strain) < TOL
+            assert _scaled_gap(vorticity_phi(v, d).values, g2[0] - g1[1]) < TOL
+
     def test_self_derivative_of_phi(self, grid, rng):
         d = random_valid_metric(grid, rng)
         phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
-        assert np.max(np.abs(dphi_values(3, phi, d) - 1.0)) < TOL
+        assert np.max(np.abs(jacobian_phi(phi, d)[1] - 1.0)) < TOL
 
 
 class TestFlatReduction:
@@ -273,6 +286,11 @@ class TestCommutator:
         f = smooth_scalar(grid, rng)
         res = commutator_residual(f, MultiIndex(alpha=(1, 1)), 1, flat_metric)
         assert np.max(np.abs(res.values)) < 1e-10
+
+    def test_rejects_direction_two(self, grid, rng, flat_metric):
+        f = smooth_scalar(grid, rng)
+        with pytest.raises(ConfigurationError):
+            commutator_residual(f, MultiIndex(alpha=(0, 1)), 2, flat_metric)
 
     def test_constant_field(self, grid, curved_metric):
         f = Field(grid, np.full(grid.shape, 2.0))
