@@ -158,7 +158,7 @@ def _wsinf(grid, values, s):
 def conormal_norm(f, family, m, s=0) -> NormReport:
     """Norm of one of the four families over a Field or stored FieldHistory.
 
-    Hco:     sqrt(sum_{|alpha| <= m} |Z^alpha f|_L2^2), plain dy dz measure.
+    Hco:     sqrt(sum_{|alpha| <= m} |Z^alpha f|_L2^2), plain dy dz measure, s = 0.
     Wco_inf: sum_{|alpha| <= m} |Z^alpha f|_{W^{s,inf}}.
     Xms:     sqrt(sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{H^s_tan}^2).
     Yms:     sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{W^{s,inf}}.
@@ -167,6 +167,8 @@ def conormal_norm(f, family, m, s=0) -> NormReport:
     grid = hist.grid
     if family not in NORM_FAMILIES:
         raise ConfigurationError(f"unknown norm family {family!r}")
+    if family == "Hco" and s != 0:
+        raise ConfigurationError(f"Hco is a plain L2 sum and takes s = 0, got {s}")
     with_time = family in ("Xms", "Yms")
     if with_time and hist.depth < m + 1:
         raise HistoryDepthError(

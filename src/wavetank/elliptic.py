@@ -1,15 +1,15 @@
 """Variable-coefficient elliptic Dirichlet solves and the pressure split.
 
 All solves share one symmetric stiffness matrix per metric (divergence form,
-cell-averaged E) and a Jacobi-preconditioned conjugate-gradient loop with a
-deterministic iteration budget.  The Dirichlet-Neumann operator is the weak
-boundary flux of the same matrix, so its discrete bilinear form is exactly
-symmetric.  The time stepper's projection and viscous solves reuse the
-conjugate-gradient loop with their own flat-metric preconditioner, so
-Jacobi serves only the FE elliptic and Dirichlet-Neumann solves.
+cell-averaged E) and one conjugate-gradient loop with a deterministic
+iteration budget.  The Dirichlet-Neumann operator is the weak boundary flux
+of the same matrix, so its discrete bilinear form is exactly symmetric.  The
+loop takes its preconditioner from the caller: the FE operator supplies the
+Jacobi inverse of its interior block, and the time stepper's projection and
+viscous solves supply their flat-strip inverse.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,31 +26,16 @@ from .operators import (
 from .surface import cutoff_lift, surface_geometry
 
 
-def iteration_budget(grid):
-    return int(np.ceil(10.0 * np.sqrt(grid.n_y * grid.n_z)))
-
-
-def _pcg(A, b, x0, rtol, atol, maxiter, precondition=None):
+def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
     """Preconditioned conjugate gradients; returns (x, iterations).
 
-    A is a sparse matrix or a function applying the SPD operator; x0 = None
-    is a zero guess and costs no application of A.  precondition returns a
-    new array, an SPD approximation of the inverse of A applied to its
-    argument; without one the solve is Jacobi-preconditioned, which needs A
-    as a matrix.  The stopping rule is on the unpreconditioned residual,
-    tested before preconditioning: k iterations apply A and the
-    preconditioner k times each, plus one A for a given x0.
+    apply applies the SPD operator; x0 = None is a zero guess and costs no
+    application.  precondition returns a new array, an SPD approximation of
+    the inverse of the operator applied to its argument.  The stopping rule
+    is on the unpreconditioned residual, tested before preconditioning: k
+    iterations apply the operator and the preconditioner k times each, plus
+    one application for a given x0.
     """
-    if precondition is None:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise SolverFailureError("non-positive diagonal in SPD solve")
-        inv_diag = 1.0 / diag
-
-        def precondition(r):
-            return inv_diag * r
-
-    apply = A if callable(A) else A.__matmul__
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -135,8 +120,9 @@ class EllipticOperator:
         self._interior_cache = {}
 
     def _interior(self, bottom_condition):
-        key = bottom_condition
-        if key not in self._interior_cache:
+        """(free, A_ff, A_fd, inv_diag): the free nodes, their blocks of A
+        and the Jacobi inverse of A_ff, built once per bottom condition."""
+        if bottom_condition not in self._interior_cache:
             n = self.grid.n_y * self.grid.n_z
             mask = np.ones(n, dtype=bool)
             mask[self.top_idx] = False
@@ -145,11 +131,16 @@ class EllipticOperator:
             free = np.where(mask)[0]
             A_ff = self.A[free][:, free].tocsr()
             A_fd = self.A[free][:, self.top_idx].tocsr()
-            self._interior_cache[key] = (free, A_ff, A_fd)
-        return self._interior_cache[key]
+            diag = A_ff.diagonal()
+            if np.any(diag <= 0):
+                raise SolverFailureError("non-positive diagonal in SPD solve")
+            self._interior_cache[bottom_condition] = (free, A_ff, A_fd, 1.0 / diag)
+        return self._interior_cache[bottom_condition]
 
     def solve(self, problem: EllipticProblem, tol, x0=None):
         """Returns (solution array (n_y, n_z), iterations)."""
+        if tol <= 0:
+            raise ConfigurationError(f"tolerance must be positive, got {tol}")
         g = self.grid
         n = g.n_y * g.n_z
         load = np.zeros(n)
@@ -160,18 +151,19 @@ class EllipticOperator:
         if problem.flux_rhs is not None:
             load += flux_load(g, *problem.flux_rhs)
 
-        free, A_ff, A_fd = self._interior(problem.bottom_condition)
+        free, A_ff, A_fd, inv_diag = self._interior(problem.bottom_condition)
         x = np.zeros(n)
         x[self.top_idx] = problem.dirichlet_top
         b_f = load[free] - A_fd @ problem.dirichlet_top
         x0_f = None if x0 is None else np.ravel(x0)[free]
         sol_f, iters = _pcg(
-            A_ff,
+            A_ff.__matmul__,
             b_f,
             x0_f,
+            lambda r: inv_diag * r,
             rtol=tol,
             atol=max(tol * 1e-3, 1e-14),
-            maxiter=iteration_budget(g),
+            maxiter=int(np.ceil(10.0 * np.sqrt(n))),
         )
         x[free] = sol_f
         return x.reshape(g.shape), iters
@@ -187,8 +179,6 @@ class EllipticOperator:
 
 def solve_elliptic(problem: EllipticProblem, tol, operator=None) -> Field:
     """Solve one EllipticProblem to the given relative tolerance."""
-    if tol <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
     op = operator or EllipticOperator(problem.metric.grid, problem.metric)
     values, _ = op.solve(problem, tol)
     return Field(op.grid, values)
@@ -227,13 +217,11 @@ class PressureSplit:
     qE: Field
     qNS: Field
     qS: Field
-    q_total: Field = field(repr=False, default=None)
-    iterations: int = 0
+    iterations: int
 
-    def __post_init__(self):
-        if self.q_total is None:
-            total = self.qE.values + self.qNS.values + self.qS.values
-            object.__setattr__(self, "q_total", Field(self.qE.grid, total))
+    @property
+    def q_total(self):
+        return Field(self.qE.grid, self.qE.values + self.qNS.values + self.qS.values)
 
 
 def advection_term(v: Field, d) -> np.ndarray:
@@ -279,47 +267,26 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
     metric = MetricMatrices(d)
     op = EllipticOperator(d.grid, metric)
     grid = d.grid
-
     adv = advection_term(v, d)
-    c = metric.dzphi
-    b = d.grad_y_phi.values
-    F1 = c * adv[0]
-    F2 = -b * adv[0] + adv[1]
-    top_E = g * d.h.h_values
-    qE, it_E = op.solve(
-        EllipticProblem(
-            metric=metric,
-            dirichlet_top=top_E,
-            flux_rhs=(F1, F2),
-        ),
-        tol,
-        x0=cutoff_lift(grid, np.fft.rfft(top_E)),
+    flux_E = (metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+    problems = (
+        (g * d.h.h_values, flux_E),
+        (viscous_boundary_trace(v, d, eps) if eps > 0 else None, None),
+        (capillary_trace(d.h, sigma), None),
     )
-
-    if eps > 0:
-        top_NS = viscous_boundary_trace(v, d, eps)
-        qNS, it_NS = op.solve(
-            EllipticProblem(metric=metric, dirichlet_top=top_NS),
+    parts, iterations = [], 0
+    for top, flux in problems:
+        if top is None:
+            parts.append(Field(grid, np.zeros(grid.shape)))
+            continue
+        q, its = op.solve(
+            EllipticProblem(metric=metric, dirichlet_top=top, flux_rhs=flux),
             tol,
-            x0=cutoff_lift(grid, np.fft.rfft(top_NS)),
+            x0=cutoff_lift(grid, np.fft.rfft(top)),
         )
-    else:
-        qNS = np.zeros(grid.shape)
-        it_NS = 0
-
-    top_S = capillary_trace(d.h, sigma)
-    qS, it_S = op.solve(
-        EllipticProblem(metric=metric, dirichlet_top=top_S),
-        tol,
-        x0=cutoff_lift(grid, np.fft.rfft(top_S)),
-    )
-
-    return PressureSplit(
-        qE=Field(grid, qE),
-        qNS=Field(grid, qNS),
-        qS=Field(grid, qS),
-        iterations=it_E + it_NS + it_S,
-    )
+        parts.append(Field(grid, q))
+        iterations += its
+    return PressureSplit(*parts, iterations=iterations)
 
 
 def qE_inner_split(v: Field, d, g, tol=1e-10):

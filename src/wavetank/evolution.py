@@ -301,10 +301,9 @@ class MetricOps:
         """The time step's CG solve: relative tolerance 1e-12, an absolute
         floor at rounding level and a budget that grows like sqrt(n)."""
         return _pcg(
-            operator, rhs, x0, rtol=1e-12,
+            operator, rhs, x0, precondition, rtol=1e-12,
             atol=1e-16 * max(float(np.linalg.norm(rhs)), 1.0),
             maxiter=max(800, 40 * int(np.sqrt(self.ops.n))),
-            precondition=precondition,
         )
 
     def project(self, v, return_iterations=False):

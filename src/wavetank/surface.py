@@ -148,14 +148,8 @@ class Diffeomorphism:
         mag = np.sqrt(1.0 + slope ** 2)
         return np.stack([-slope / mag, 1.0 / mag])
 
-    @property
-    def boundary_N(self):
-        """Unnormalized boundary normal (-d_y h, 1), shape (2, n_y)."""
-        slope = self.grad_y_phi.values[:, -1]
-        return np.stack([-slope, np.ones_like(slope)])
 
-
-def build_diffeomorphism(h: SurfaceState, A=None, c0=0.5):
+def build_diffeomorphism(h: SurfaceState, A, c0):
     """Construct the flattening map, failing if min(dz_phi) < c0.
 
     When A is None it is chosen as max(1, 2 max|d_z eta|) so the map starts

@@ -167,6 +167,12 @@ class TestConormalNorm:
             measured = conormal_norm(f, "Hco", 2).value
             assert abs(measured - reference) <= 1e-13 * reference
 
+    def test_hco_rejects_nonzero_s(self, grid, rng):
+        # Hco is the plain L2 sum; a nonzero s would be recorded but ignored
+        f = Field(grid, random_smooth_field(grid, rng))
+        with pytest.raises(ConfigurationError):
+            conormal_norm(f, "Hco", 2, s=1)
+
     def test_xms_insufficient_history(self, grid, rng):
         f = Field(grid, random_smooth_field(grid, rng))
         with pytest.raises(HistoryDepthError):

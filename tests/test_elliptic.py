@@ -141,6 +141,11 @@ class TestSolveElliptic:
         prob = EllipticProblem(metric=mm, dirichlet_top=np.zeros(grid.n_y))
         with pytest.raises(ConfigurationError):
             solve_elliptic(prob, tol=0.0)
+        # the operator's own solve validates alike
+        op = EllipticOperator(grid, mm)
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ConfigurationError):
+                op.solve(prob, tol)
 
     def test_iteration_budget_enforced(self):
         # a hard SPD system and a tiny budget must fail loudly
@@ -150,7 +155,8 @@ class TestSolveElliptic:
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         b = np.ones(n)
         with pytest.raises(SolverFailureError) as excinfo:
-            _pcg(A, b, np.zeros(n), rtol=1e-14, atol=1e-16, maxiter=3)
+            _pcg(A.__matmul__, b, np.zeros(n), lambda r: r / 2.0,
+                 rtol=1e-14, atol=1e-16, maxiter=3)
         assert excinfo.value.residual is not None
         assert excinfo.value.iterations == 3
 
@@ -247,6 +253,42 @@ class TestPressureDecomposition:
         assert np.max(np.abs(split.qE.values - qE_exact)) / scale_E < 2e-2
         assert np.max(np.abs(split.qS.values - qS_exact)) / scale_S < 2e-2
         assert np.max(np.abs(split.qNS.values)) == 0.0
+
+    def test_parts_match_three_explicit_solves(self, grid, rng):
+        # each part, and the iteration total, is exactly one Dirichlet solve
+        # from the cutoff lift of its own trace
+        from wavetank.elliptic import (
+            advection_term,
+            capillary_trace,
+            viscous_boundary_trace,
+        )
+        from wavetank.surface import cutoff_lift
+
+        d = random_valid_metric(grid, rng, amplitude=0.05)
+        v = smooth_vector(grid, rng, scale=0.1)
+        eps, grav, sigma, tol = 1e-2, 1.3, 0.7, 1e-11
+        split = decompose_pressure(v, d, eps=eps, g=grav, sigma=sigma, tol=tol)
+        mm = MetricMatrices(d)
+        op = EllipticOperator(grid, mm)
+        adv = advection_term(v, d)
+        flux = (mm.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+        expected, total = [], 0
+        for top, rhs in (
+            (grav * d.h.h_values, flux),
+            (viscous_boundary_trace(v, d, eps), None),
+            (capillary_trace(d.h, sigma), None),
+        ):
+            q, its = op.solve(
+                EllipticProblem(metric=mm, dirichlet_top=top, flux_rhs=rhs),
+                tol,
+                x0=cutoff_lift(grid, np.fft.rfft(top)),
+            )
+            expected.append(q)
+            total += its
+        for part, q in zip((split.qE, split.qNS, split.qS), expected):
+            assert np.array_equal(part.values, q)
+        assert split.iterations == total
+        assert total > 0 and np.any(split.qNS.values != 0.0)
 
     def test_superposition_against_combined_solve(self, grid, rng):
         tol = 1e-11

@@ -127,8 +127,8 @@ class TestBuildDiffeomorphism:
         phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
         assert np.max(np.abs(phi - grid.z_nodes[None, :])) < 1e-12
         assert np.max(np.abs(d.dzphi.values - 1.0)) < 1e-12
-        N = d.boundary_N
-        assert np.allclose(N[0], 0.0) and np.allclose(N[1], 1.0)
+        n = d.n_boundary
+        assert np.allclose(n[0], 0.0) and np.allclose(n[1], 1.0)
 
     def test_moderate_wave_succeeds(self, grid):
         h = surface_from_values(grid, 0.1 * np.cos(grid.y_nodes))
