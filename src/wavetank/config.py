@@ -54,6 +54,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ConfigurationError(f"unknown preset {self.preset!r} (key 'preset')")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and value is not None and not np.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite (key '{f.name}')")
         for key in ("eps", "gravity_g", "sigma", "amplitude"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(f"{key} must be >= 0 (key '{key}')")
@@ -63,6 +67,10 @@ class SimulationConfig:
             raise ConfigurationError("c0 must be positive (key 'c0')")
         if self.solver_tol <= 0:
             raise ConfigurationError("solver_tol must be positive (key 'solver_tol')")
+        if self.shear_delta <= 0:
+            raise ConfigurationError("shear_delta must be positive (key 'shear_delta')")
+        if self.cfl_factor <= 0:
+            raise ConfigurationError("cfl_factor must be positive (key 'cfl_factor')")
         if self.dt is not None and self.dt <= 0:
             raise ConfigurationError("dt must be positive or auto (key 'dt')")
         if self.slope_A is not None and self.slope_A <= 0:
@@ -73,8 +81,10 @@ class SimulationConfig:
             raise ConfigurationError(
                 "snapshot_every must be >= 0 (key 'snapshot_every')"
             )
-        if self.eps_list and any(e < 0 for e in self.eps_list):
-            raise ConfigurationError("eps_list entries must be >= 0 (key 'eps_list')")
+        if any(not (np.isfinite(e) and e >= 0) for e in self.eps_list):
+            raise ConfigurationError(
+                "eps_list entries must be finite and >= 0 (key 'eps_list')"
+            )
 
 
 # Each key's kind comes from its declaration: the annotation (int, float,

@@ -5,6 +5,10 @@ vanishes at the free surface so repeated application never sees the boundary
 layer's normal gradients.  Time derivatives are taken from stored solution
 history by backward differences.  Interior fractional regularity only ever
 appears tangentially, as a Fourier multiplier in y.
+
+A norm sums every dt^k Z^alpha f from one derivative table, each entry one Z1
+or Z3 applied to an earlier entry, and returns a plain float; its W^{s,inf}
+terms read d_y^a d_z^b from a table of the same kind.
 """
 
 from dataclasses import dataclass
@@ -35,20 +39,6 @@ class MultiIndex:
             raise ConfigurationError(f"bad multi-index {self}")
 
 
-@dataclass(frozen=True)
-class NormReport:
-    family: str
-    m: int
-    s: float
-    value: float
-
-    def __post_init__(self):
-        if self.family not in NORM_FAMILIES:
-            raise ConfigurationError(f"unknown norm family {self.family!r}")
-        if self.value < 0 or not np.isfinite(self.value):
-            raise ConfigurationError("norm value must be finite and >= 0")
-
-
 class FieldHistory:
     """Uniformly spaced snapshots of a field, oldest first."""
 
@@ -60,10 +50,6 @@ class FieldHistory:
         self.grid = grid
         self.levels = [np.asarray(v, dtype=float) for v in values_list]
         self.dt = float(dt)
-
-    @classmethod
-    def single(cls, field: Field):
-        return cls(field.grid, [field.values], dt=1.0)
 
     @property
     def depth(self):
@@ -77,18 +63,7 @@ class FieldHistory:
             raise HistoryDepthError(
                 f"time derivative of order {k} needs {k + 1} levels, have {self.depth}"
             )
-        acc = np.zeros_like(self.levels[-1])
-        for j in range(k + 1):
-            coeff = (-1.0) ** j * _binom(k, j)
-            acc += coeff * self.levels[-1 - j]
-        return acc / self.dt ** k
-
-
-def _binom(n, j):
-    out = 1.0
-    for i in range(j):
-        out = out * (n - i) / (i + 1)
-    return out
+        return np.diff(self.levels[-1 - k:], n=k, axis=0)[0] / self.dt ** k
 
 
 def z3_weight(grid):
@@ -106,7 +81,7 @@ def as_history(f):
     if isinstance(f, FieldHistory):
         return f
     if isinstance(f, Field):
-        return FieldHistory.single(f)
+        return FieldHistory(f.grid, [f.values], dt=1.0)
     raise ConfigurationError(f"expected Field or FieldHistory, got {type(f)}")
 
 
@@ -122,17 +97,23 @@ def apply_conormal(f, idx: MultiIndex) -> Field:
     return Field(hist.grid, vals)
 
 
-def _spatial_indices(total):
-    for a1 in range(total + 1):
-        yield (a1, total - a1)
-
-
-def _all_indices(max_total, with_time):
-    for tot in range(max_total + 1):
-        ks = range(tot + 1) if with_time else (0,)
-        for k in ks:
-            for alpha in _spatial_indices(tot - k):
-                yield MultiIndex(k=k, alpha=alpha)
+def _derivative_table(base, m, max_k, d1, d3):
+    """Yield d3^a3 d1^a1 base(k) for k + a1 + a3 <= m and k <= max_k: total
+    order first, then k, then a1.  Each entry past base(k) is one d1 or d3
+    applied to an earlier entry, so every chain is built once."""
+    table = {}
+    for tot in range(m + 1):
+        for k in range(min(tot, max_k) + 1):
+            for a1 in range(tot - k + 1):
+                a3 = tot - k - a1
+                if a3:
+                    d = d3(table[k, a1, a3 - 1])
+                elif a1:
+                    d = d1(table[k, a1 - 1, 0])
+                else:
+                    d = base(k)
+                table[k, a1, a3] = d
+                yield d
 
 
 def _linf(values):
@@ -140,53 +121,57 @@ def _linf(values):
 
 
 def _wsinf(grid, values, s):
-    """W^{s,infty} with integer s: max over mixed derivatives up to order s."""
-    if s != int(s) or s < 0:
-        raise ConfigurationError(f"Wco_inf needs integer s >= 0, got {s}")
-    total = 0.0
-    for a in range(int(s) + 1):
-        for b in range(int(s) + 1 - a):
-            d = values
-            for _ in range(a):
-                d = horizontal_derivative_values(grid, d)
-            for _ in range(b):
-                d = vertical_derivative_values(grid, d)
-            total += _linf(d)
-    return total
+    """W^{s,infty} with integer s: sum of sup norms of d_y^a d_z^b, a + b <= s."""
+    return sum(
+        _linf(d)
+        for d in _derivative_table(
+            lambda k: values, s, 0,
+            lambda v: horizontal_derivative_values(grid, v),
+            lambda v: vertical_derivative_values(grid, v),
+        )
+    )
 
 
-def conormal_norm(f, family, m, s=0) -> NormReport:
+def conormal_norm(f, family, m, s=0) -> float:
     """Norm of one of the four families over a Field or stored FieldHistory.
 
     Hco:     sqrt(sum_{|alpha| <= m} |Z^alpha f|_L2^2), plain dy dz measure, s = 0.
-    Wco_inf: sum_{|alpha| <= m} |Z^alpha f|_{W^{s,inf}}.
+    Wco_inf: sum_{|alpha| <= m} |Z^alpha f|_{W^{s,inf}}, integer s.
     Xms:     sqrt(sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{H^s_tan}^2).
-    Yms:     sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{W^{s,inf}}.
+    Yms:     sum_{k+|alpha| <= m} |dt^k Z^alpha f|_{W^{s,inf}}, integer s.
     """
     hist = as_history(f)
     grid = hist.grid
     if family not in NORM_FAMILIES:
         raise ConfigurationError(f"unknown norm family {family!r}")
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise ConfigurationError(f"norm order m must be an integer >= 0, got {m!r}")
     if family == "Hco" and s != 0:
         raise ConfigurationError(f"Hco is a plain L2 sum and takes s = 0, got {s}")
+    if family in ("Wco_inf", "Yms") and not (s >= 0 and float(s).is_integer()):
+        raise ConfigurationError(f"{family} needs integer s >= 0, got {s}")
     with_time = family in ("Xms", "Yms")
     if with_time and hist.depth < m + 1:
         raise HistoryDepthError(
             f"{family} at order {m} needs {m + 1} stored levels, have {hist.depth}"
         )
-    sq_sum = family in ("Hco", "Xms")
     total = 0.0
-    for idx in _all_indices(m, with_time):
-        zf = apply_conormal(hist, idx).values
+    for zf in _derivative_table(
+        hist.time_derivative, m, m if with_time else 0,
+        lambda v: horizontal_derivative_values(grid, v),
+        lambda v: apply_z3(grid, v),
+    ):
         if family == "Hco":
             # the s = 0 tangential multiplier is the plain L2 norm (Parseval)
             total += l2_norm(grid, zf) ** 2
         elif family == "Xms":
             total += tangential_sobolev_norm(grid, zf, s) ** 2
         else:
-            total += sum(_wsinf(grid, comp, s) for comp in zf.reshape(-1, *grid.shape))
-    value = float(np.sqrt(total)) if sq_sum else float(total)
-    return NormReport(family=family, m=m, s=s, value=value)
+            total += sum(_wsinf(grid, c, int(s)) for c in zf.reshape(-1, *grid.shape))
+    value = float(np.sqrt(total)) if family in ("Hco", "Xms") else float(total)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{family} norm is not finite")
+    return value
 
 
 def trace_inequality_audit(grid, corpus, s, s1, s2):

@@ -174,7 +174,7 @@ def epsilon_sweep(make_state, eps_list, t_final, dt, output_every=4):
         dzz_tops = []
         top_band = g.z_nodes > -0.25 * g.depth_H
         for s in traj.states:
-            probes.append(conormal_norm(s.v, "Hco", 2).value)
+            probes.append(conormal_norm(s.v, "Hco", 2))
             dzv = vertical_derivative_values(g, s.v.values)
             dz_norms.append(l2_norm(g, dzv))
             dzz = vertical_derivative_values(g, dzv[0])

@@ -695,6 +695,9 @@ def run(state: FlowState, t_final, dt, output_every=1, on_step=None):
     fixed so output times line up across runs.  The trajectory up to a
     failure is preserved on the Trajectory object.
     """
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     if t_final <= state.t:
         raise ConfigurationError("t_final must exceed the starting time")
     n_steps = max(1, int(np.ceil((t_final - state.t) / dt - 1e-12)))

@@ -128,7 +128,7 @@ SERIES_COLUMNS = (
     ("tangential_stress_residual", _step("tangential_stress_residual", np.nan)),
     ("identity_residual", attrgetter("identity")),
     ("solver_iterations", _step("solver_iterations", 0)),
-    ("hco2_v", lambda level: conormal.conormal_norm(level.state.v, "Hco", 2).value),
+    ("hco2_v", lambda level: conormal.conormal_norm(level.state.v, "Hco", 2)),
     ("max_dz_v_top", _max_dz_v_top),
     ("max_h", lambda level: level.state.h.max_abs()),
     ("max_v", lambda level: np.max(np.abs(level.state.v.values))),

@@ -70,6 +70,12 @@ class TestRunCommand:
         assert code == 1
         assert "eps" in capsys.readouterr().err
 
+    def test_non_finite_override_exit_code(self, tmp_path, capsys):
+        code = run_cli("run", "--out", str(tmp_path / "o"), *BASE,
+                       "--override", "t_final=nan")
+        assert code == 1
+        assert "key 't_final'" in capsys.readouterr().err
+
     def test_snapshots_at_cadence(self, tmp_path):
         out = tmp_path / "snaps"
         code = run_cli(

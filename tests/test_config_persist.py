@@ -106,6 +106,17 @@ class TestParseConfig:
             key = doc.split(" =")[0]
             assert message in str(excinfo.value)
             assert f"key '{key}'" in str(excinfo.value)
+        # non-finite values, a non-finite sweep entry, a non-positive CFL
+        # factor and a non-positive shear decay length are each rejected by
+        # key, before any run starts
+        for doc in ("t_final = nan\n", "eps = inf\n", "amplitude = nan\n",
+                    "dt = nan\n", "slope_A = inf\n", "cfl_factor = -1\n",
+                    "cfl_factor = 0\n", "cfl_factor = nan\n", "shear_delta = 0\n",
+                    "eps_list = 0.01,nan\n", "eps_list = inf\n"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                parse_config(doc)
+            key = doc.split(" =")[0]
+            assert f"key '{key}'" in str(excinfo.value)
 
 
 class TestPresets:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetank import conormal
 from wavetank.conormal import (
     FieldHistory,
     MultiIndex,
@@ -15,7 +16,13 @@ from wavetank.conormal import (
     z3_weight,
 )
 from wavetank.errors import ConfigurationError, HistoryDepthError
-from wavetank.grid import Field, horizontal_derivative_values, make_grid
+from wavetank.grid import (
+    Field,
+    horizontal_derivative_values,
+    l2_norm,
+    make_grid,
+    vertical_derivative_values,
+)
 from wavetank.surface import tangential_sobolev_norm
 
 
@@ -94,26 +101,26 @@ class TestConormalNorm:
         f = Field(grid, np.zeros(grid.shape))
         zero_history = FieldHistory(grid, [np.zeros(grid.shape)] * 3, dt=0.1)
         for family in ("Hco", "Wco_inf"):
-            assert conormal_norm(f, family, 2, s=0).value == 0.0
+            assert conormal_norm(f, family, 2, s=0) == 0.0
         for family in ("Xms", "Yms"):
-            assert conormal_norm(zero_history, family, 2, s=0).value == 0.0
+            assert conormal_norm(zero_history, family, 2, s=0) == 0.0
 
     def test_sine_against_quadrature_oracle(self, grid):
         f_values = np.tile(np.sin(grid.y_nodes)[:, None], (1, grid.n_z))
         f = Field(grid, f_values)
-        rep = conormal_norm(f, "Hco", 1)
+        measured = conormal_norm(f, "Hco", 1)
         # terms: ||sin y||^2 + ||cos y||^2 (Z3 term vanishes; no z variation)
         area = grid.length_y * grid.depth_H
         oracle = np.sqrt(area)  # sin^2 + cos^2 integrates to the area
-        assert abs(rep.value - oracle) < 1e-10 * oracle
+        assert abs(measured - oracle) < 1e-10 * oracle
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            c=st.floats(-4, 4).filter(lambda v: abs(v) > 1e-3))
     def test_homogeneity(self, grid, seed, c):
         f = random_smooth_field(grid, np.random.default_rng(seed))
-        base = conormal_norm(Field(grid, f), "Hco", 2).value
-        scaled = conormal_norm(Field(grid, c * f), "Hco", 2).value
+        base = conormal_norm(Field(grid, f), "Hco", 2)
+        scaled = conormal_norm(Field(grid, c * f), "Hco", 2)
         assert abs(scaled - abs(c) * base) < 1e-9 * max(1.0, abs(c) * base)
 
     @settings(max_examples=10, deadline=None)
@@ -123,25 +130,25 @@ class TestConormalNorm:
         f = random_smooth_field(grid, r)
         g = random_smooth_field(grid, r)
         for family in ("Hco", "Wco_inf"):
-            nf = conormal_norm(Field(grid, f), family, 1).value
-            ng = conormal_norm(Field(grid, g), family, 1).value
-            nfg = conormal_norm(Field(grid, f + g), family, 1).value
+            nf = conormal_norm(Field(grid, f), family, 1)
+            ng = conormal_norm(Field(grid, g), family, 1)
+            nfg = conormal_norm(Field(grid, f + g), family, 1)
             assert nfg <= nf + ng + 1e-9 * (nf + ng)
 
     def test_monotonicity_in_order(self, grid, rng):
         f = Field(grid, random_smooth_field(grid, rng))
-        values = [conormal_norm(f, "Hco", s).value for s in (0, 1, 2)]
+        values = [conormal_norm(f, "Hco", s) for s in (0, 1, 2)]
         assert values[0] <= values[1] <= values[2]
 
     def test_xms_adds_tangential_layer(self, grid, rng):
         values = random_smooth_field(grid, rng)
         steady = FieldHistory(grid, [values, values], dt=0.1)
-        x0 = conormal_norm(steady, "Xms", 1, s=0).value
-        x1 = conormal_norm(steady, "Xms", 1, s=1.0).value
+        x0 = conormal_norm(steady, "Xms", 1, s=0)
+        x1 = conormal_norm(steady, "Xms", 1, s=1.0)
         assert x1 >= x0
         # with a steady history the time-derivative terms vanish, so
         # X^{1,0} collapses onto the co-normal norm
-        h0 = conormal_norm(Field(grid, values), "Hco", 1).value
+        h0 = conormal_norm(Field(grid, values), "Hco", 1)
         assert abs(x0 - h0) < 1e-12 * max(1.0, h0)
 
     @pytest.mark.parametrize("n_y, n_z", [(32, 40), (64, 80)])
@@ -164,7 +171,7 @@ class TestConormalNorm:
                 for tot in range(3)
                 for a1 in range(tot + 1)
             ))
-            measured = conormal_norm(f, "Hco", 2).value
+            measured = conormal_norm(f, "Hco", 2)
             assert abs(measured - reference) <= 1e-13 * reference
 
     def test_hco_rejects_nonzero_s(self, grid, rng):
@@ -177,6 +184,74 @@ class TestConormalNorm:
         f = Field(grid, random_smooth_field(grid, rng))
         with pytest.raises(HistoryDepthError):
             conormal_norm(f, "Xms", 1)
+
+    @pytest.mark.parametrize("m", [-1, 1.5, "2"])
+    def test_rejects_bad_order(self, grid, rng, m):
+        f = Field(grid, random_smooth_field(grid, rng))
+        with pytest.raises(ConfigurationError):
+            conormal_norm(f, "Hco", m)
+
+    @pytest.mark.parametrize("s", [0.5, -1, float("nan"), float("inf")])
+    def test_sup_families_reject_non_integer_s(self, grid, s):
+        hist = FieldHistory(grid, [np.zeros(grid.shape)] * 2, dt=0.1)
+        for family in ("Wco_inf", "Yms"):
+            with pytest.raises(ConfigurationError):
+                conormal_norm(hist, family, 1, s=s)
+
+    def test_each_derivative_built_once(self, grid, rng, monkeypatch):
+        # Hco at m = 2 needs d_y f, d_y^2 f, Z3 f, Z3 d_y f and Z3^2 f: each
+        # one generator applied to an earlier entry, two d_y and three Z3
+        calls = {"d_y": 0, "z3": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(conormal, "horizontal_derivative_values",
+                            counted("d_y", conormal.horizontal_derivative_values))
+        monkeypatch.setattr(conormal, "apply_z3", counted("z3", conormal.apply_z3))
+        conormal_norm(Field(grid, random_smooth_field(grid, rng)), "Hco", 2)
+        assert calls == {"d_y": 2, "z3": 3}
+
+    @pytest.mark.parametrize("family, s", [
+        ("Hco", 0), ("Wco_inf", 0), ("Wco_inf", 1),
+        ("Xms", 0), ("Xms", 1), ("Yms", 0), ("Yms", 1),
+    ])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_sum_over_single_indices(self, grid, rng, family, s, m):
+        levels = [
+            np.stack([random_smooth_field(grid, rng), random_smooth_field(grid, rng)])
+            for _ in range(3)
+        ]
+        hist = FieldHistory(grid, levels, dt=0.1)
+        max_k = m if family in ("Xms", "Yms") else 0
+        total = 0.0
+        for tot in range(m + 1):
+            for k in range(min(tot, max_k) + 1):
+                for a1 in range(tot - k + 1):
+                    idx = MultiIndex(k=k, alpha=(a1, tot - k - a1))
+                    zf = apply_conormal(hist, idx).values
+                    if family == "Hco":
+                        total += l2_norm(grid, zf) ** 2
+                    elif family == "Xms":
+                        total += tangential_sobolev_norm(grid, zf, s) ** 2
+                    else:
+                        for comp in zf:
+                            for a in range(s + 1):
+                                for b in range(s + 1 - a):
+                                    d = comp
+                                    for _ in range(a):
+                                        d = horizontal_derivative_values(grid, d)
+                                    for _ in range(b):
+                                        d = vertical_derivative_values(grid, d)
+                                    total += np.max(np.abs(d))
+        measured = conormal_norm(hist, family, m, s)
+        if family in ("Hco", "Xms"):
+            assert measured == np.sqrt(total)
+        else:
+            assert abs(measured - total) <= 1e-14 * total
 
 
 class TestTraceAndEmbedding:

@@ -539,3 +539,12 @@ class TestValidation:
         b_top = st.d.grad_y_phi.values[:, -1]
         expected = v[1, :, -1] - b_top * v[0, :, -1]
         assert np.allclose(w, expected)
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.2, -0.1), (0.2, 0.0), (0.2, np.nan), (0.2, np.inf),
+        (-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+    ])
+    def test_run_rejects_bad_times(self, wave_grid, t_final, dt):
+        st = standing_wave_state(wave_grid)
+        with pytest.raises(ConfigurationError):
+            run(st, t_final=t_final, dt=dt)
