@@ -58,7 +58,7 @@ class SimulationConfig:
             value = getattr(self, f.name)
             if f.type is float and value is not None and not np.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite (key '{f.name}')")
-        for key in ("eps", "gravity_g", "sigma", "amplitude"):
+        for key in ("eps", "gravity_g", "sigma", "amplitude", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(f"{key} must be >= 0 (key '{key}')")
         if self.t_final <= 0:

@@ -1,12 +1,12 @@
 """Variable-coefficient elliptic Dirichlet solves and the pressure split.
 
 All solves share one symmetric stiffness matrix per metric (divergence form,
-cell-averaged E) and one conjugate-gradient loop with a deterministic
-iteration budget.  The Dirichlet-Neumann operator is the weak boundary flux
-of the same matrix, so its discrete bilinear form is exactly symmetric.  The
-loop takes its preconditioner from the caller: the FE operator supplies the
-Jacobi inverse of its interior block, and the time stepper's projection and
-viscous solves supply their flat-strip inverse.
+cell-averaged E) and one conjugate-gradient loop under one iteration budget,
+CG_BUDGET.  The Dirichlet-Neumann operator is the weak boundary flux of the
+same matrix, so its discrete bilinear form is exactly symmetric.  Every CG
+solve, here and in the time stepper, is preconditioned by the exact inverse
+of its operator on the flat strip (h = 0), applied through flat_strip_solve:
+the iteration count depends on the surface's amplitude, not on the grid.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,24 @@ from .operators import (
     jacobian_phi,
     strain_phi,
 )
-from .surface import cutoff_lift, surface_geometry
+from .surface import surface_geometry
+
+# iterations allowed to every CG solve; the most any solve takes is about 30
+CG_BUDGET = 500
+
+
+def flat_strip_solve(r, V, denominator):
+    """irfft(rfft(r V) / denominator) V^T with the rfft along y (axis 0 of r):
+    the exact inverse of a flat-strip operator that an rfft in y and the z
+    basis V diagonalize.  Columns of r past the rows of V are pinned nodes
+    (identity rows of the operator) and pass through."""
+    m = V.shape[0]
+    modes = np.fft.rfft(r[:, :m] @ V, axis=0)
+    modes /= denominator
+    out = np.empty(r.shape)
+    out[:, :m] = np.fft.irfft(modes, n=r.shape[0], axis=0) @ V.T
+    out[:, m:] = r[:, m:]
+    return out
 
 
 def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
@@ -101,7 +118,7 @@ class EllipticProblem:
                 "coefficient matrix E is not positive definite",
                 observed_min=self.metric.min_eigenvalue(),
             )
-        for arr in (self.rhs, self.dirichlet_top):
+        for arr in (self.rhs, self.dirichlet_top, *(self.flux_rhs or ())):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ConfigurationError("elliptic data contains non-finite values")
 
@@ -114,30 +131,40 @@ class EllipticOperator:
         self.metric = metric
         self.A = divergence_form_matrix(grid, metric.E11, metric.E12, metric.E22)
         self.dual = dual_areas(grid)
-        nz = grid.n_z
-        self.top_idx = np.arange(grid.n_y) * nz + (nz - 1)
-        self.bottom_idx = np.arange(grid.n_y) * nz
+        self.top_idx = np.arange(grid.n_y) * grid.n_z + (grid.n_z - 1)
         self._interior_cache = {}
 
     def _interior(self, bottom_condition):
-        """(free, A_ff, A_fd, inv_diag): the free nodes, their blocks of A
-        and the Jacobi inverse of A_ff, built once per bottom condition."""
+        """(free, A_ff, A_fd, V, denominator): the free nodes, their blocks of
+        A and the exact inverse of A_ff on the flat strip for flat_strip_solve.
+
+        With c = A and b = 0 the stiffness is A (K_y x M_z) + (1/A) (M_y x K_z)
+        in the 1-D bilinear matrices: the circulant y factors have symbols
+        (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on the
+        free z nodes diagonalizes the z factors.
+        """
         if bottom_condition not in self._interior_cache:
-            n = self.grid.n_y * self.grid.n_z
-            mask = np.ones(n, dtype=bool)
-            mask[self.top_idx] = False
-            if bottom_condition == "dirichlet_zero":
-                mask[self.bottom_idx] = False
-            free = np.where(mask)[0]
+            # local: importing it with the module raises the package's peak RSS
+            from scipy.linalg import eigh
+            g = self.grid
+            lo = 1 if bottom_condition == "dirichlet_zero" else 0
+            mask = np.zeros(g.shape, dtype=bool)
+            mask[:, lo:-1] = True
+            free = np.flatnonzero(mask)
             A_ff = self.A[free][:, free].tocsr()
             A_fd = self.A[free][:, self.top_idx].tocsr()
-            diag = A_ff.diagonal()
-            if np.any(diag <= 0):
-                raise SolverFailureError("non-positive diagonal in SPD solve")
-            self._interior_cache[bottom_condition] = (free, A_ff, A_fd, 1.0 / diag)
+            K, M = np.zeros((2, g.n_z, g.n_z))
+            for i, w in enumerate(np.diff(g.z_nodes)):
+                K[i:i + 2, i:i + 2] += [[1.0 / w, -1.0 / w], [-1.0 / w, 1.0 / w]]
+                M[i:i + 2, i:i + 2] += [[w / 3.0, w / 6.0], [w / 6.0, w / 3.0]]
+            lam, V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
+            cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
+            ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
+            denominator = self.metric.A * ky + my * lam / self.metric.A
+            self._interior_cache[bottom_condition] = (free, A_ff, A_fd, V, denominator)
         return self._interior_cache[bottom_condition]
 
-    def solve(self, problem: EllipticProblem, tol, x0=None):
+    def solve(self, problem: EllipticProblem, tol):
         """Returns (solution array (n_y, n_z), iterations)."""
         if tol <= 0:
             raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -151,19 +178,18 @@ class EllipticOperator:
         if problem.flux_rhs is not None:
             load += flux_load(g, *problem.flux_rhs)
 
-        free, A_ff, A_fd, inv_diag = self._interior(problem.bottom_condition)
+        free, A_ff, A_fd, V, denominator = self._interior(problem.bottom_condition)
         x = np.zeros(n)
         x[self.top_idx] = problem.dirichlet_top
         b_f = load[free] - A_fd @ problem.dirichlet_top
-        x0_f = None if x0 is None else np.ravel(x0)[free]
         sol_f, iters = _pcg(
             A_ff.__matmul__,
             b_f,
-            x0_f,
-            lambda r: inv_diag * r,
+            None,
+            lambda r: flat_strip_solve(r.reshape(g.n_y, -1), V, denominator).ravel(),
             rtol=tol,
             atol=max(tol * 1e-3, 1e-14),
-            maxiter=int(np.ceil(10.0 * np.sqrt(n))),
+            maxiter=CG_BUDGET,
         )
         x[free] = sol_f
         return x.reshape(g.shape), iters
@@ -177,9 +203,9 @@ class EllipticOperator:
         return (self.A @ np.ravel(q_values))[self.top_idx] / self.grid.dy
 
 
-def solve_elliptic(problem: EllipticProblem, tol, operator=None) -> Field:
+def solve_elliptic(problem: EllipticProblem, tol) -> Field:
     """Solve one EllipticProblem to the given relative tolerance."""
-    op = operator or EllipticOperator(problem.metric.grid, problem.metric)
+    op = EllipticOperator(problem.metric.grid, problem.metric)
     values, _ = op.solve(problem, tol)
     return Field(op.grid, values)
 
@@ -259,8 +285,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
 
     qE carries the advection source and the gravity trace g*h, qNS the
     viscous normal stress trace, qS the capillary trace.  At eps = 0 the
-    qNS solve is skipped.  Each solve starts from the cutoff extension of
-    its trace, a pure function of the data, so reruns stay bit-identical.
+    qNS solve is skipped.
     """
     if eps < 0:
         raise ConfigurationError(f"viscosity must be >= 0, got {eps}")
@@ -280,9 +305,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
             parts.append(Field(grid, np.zeros(grid.shape)))
             continue
         q, its = op.solve(
-            EllipticProblem(metric=metric, dirichlet_top=top, flux_rhs=flux),
-            tol,
-            x0=cutoff_lift(grid, np.fft.rfft(top)),
+            EllipticProblem(metric=metric, dirichlet_top=top, flux_rhs=flux), tol
         )
         parts.append(Field(grid, q))
         iterations += its

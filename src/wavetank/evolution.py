@@ -47,7 +47,8 @@ from .surface import (
     surface_from_values,
 )
 from .operators import strain_phi
-from .elliptic import _pcg, capillary_trace, surface_traction_parts
+from .elliptic import CG_BUDGET, _pcg, capillary_trace, surface_traction_parts
+from .elliptic import flat_strip_solve
 # not called by the stepper; the benchmark's tracer wraps it at this name
 from .elliptic import decompose_pressure  # noqa: F401
 
@@ -148,20 +149,14 @@ class SolverOps:
         """Exact inverse of the pinned flat-metric Gram operator (top rows
         pass through): two dense matmuls in z around an rfft in y, with the
         spectral denominators computed once per A."""
-        ny, nz = self.grid.n_y, self.grid.n_z
-        r = r.reshape(ny, nz)
         if self._gram_denominator is None or self._gram_denominator[0] != A:
             denominator = self.grid.dy * (
                 A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
             )
             self._gram_denominator = (A, denominator)
-        V = self._gram_vectors
-        modes = np.fft.rfft(r[:, :-1] @ V, axis=0)
-        modes /= self._gram_denominator[1]
-        out = np.empty((ny, nz))
-        out[:, :-1] = np.fft.irfft(modes, n=ny, axis=0) @ V.T
-        out[:, -1] = r[:, -1]
-        return out.ravel()
+        r = r.reshape(self.grid.n_y, self.grid.n_z)
+        V, denominator = self._gram_vectors, self._gram_denominator[1]
+        return flat_strip_solve(r, V, denominator).ravel()
 
     def _viscous_bands(self, A, tau):
         """Complex banded Cholesky factors, one per mode, of the flat viscous
@@ -298,12 +293,12 @@ class MetricOps:
         return out
 
     def _solve(self, operator, rhs, x0, precondition):
-        """The time step's CG solve: relative tolerance 1e-12, an absolute
-        floor at rounding level and a budget that grows like sqrt(n)."""
+        """The time step's CG solve: relative tolerance 1e-12 and an absolute
+        floor at rounding level."""
         return _pcg(
             operator, rhs, x0, precondition, rtol=1e-12,
             atol=1e-16 * max(float(np.linalg.norm(rhs)), 1.0),
-            maxiter=max(800, 40 * int(np.sqrt(self.ops.n))),
+            maxiter=CG_BUDGET,
         )
 
     def project(self, v, return_iterations=False):

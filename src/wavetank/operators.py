@@ -114,12 +114,14 @@ def vorticity_phi(v: Field, d) -> Field:
 class MetricMatrices:
     """P and E entries on the grid, with E = (1/c) P P^T checked pointwise.
 
-    P = [[c, 0], [-b, 1]],  E = [[c, -b], [-b, (1 + b^2)/c]].
+    P = [[c, 0], [-b, 1]],  E = [[c, -b], [-b, (1 + b^2)/c]].  A is the
+    slope of phi = A z + eta, so c = A and b = 0 on the flat strip.
     """
 
     def __init__(self, d):
         c, b = _metric_arrays(d)
         self.grid = d.grid
+        self.A = d.A
         self.dzphi = c
         self.P11, self.P12 = c, np.zeros_like(c)
         self.P21, self.P22 = -b, np.ones_like(c)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import conormal
 from .diagnostics import energy_identity_residual
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError, MetricValidityError
 from .grid import make_grid, vertical_derivative_values, CLUSTERINGS
 from .evolution import FlowState, make_flow_state
 
@@ -76,10 +76,6 @@ def restore_checkpoint(path) -> FlowState:
         raise CheckpointError(
             f"snapshot payload is {len(raw)} bytes, expected {expected}"
         )
-    grid = make_grid(
-        n_y, n_z, length_y, depth_H,
-        clustering=CLUSTERINGS[clustering_code], stretch_gamma=gamma,
-    )
     offset = _HEADER.size
     h = np.frombuffer(raw, dtype="<f8", count=n_y, offset=offset).copy()
     offset += 8 * n_y
@@ -88,10 +84,17 @@ def restore_checkpoint(path) -> FlowState:
         .reshape(2, n_y, n_z)
         .copy()
     )
-    # project=False: restoration must reproduce the stored state exactly
-    return make_flow_state(
-        grid, h, v, t=t, eps=eps, g=g, sigma=sigma, A=A, c0=c0, project=False
-    )
+    try:
+        grid = make_grid(
+            n_y, n_z, length_y, depth_H,
+            clustering=CLUSTERINGS[clustering_code], stretch_gamma=gamma,
+        )
+        # project=False: restoration must reproduce the stored state exactly
+        return make_flow_state(
+            grid, h, v, t=t, eps=eps, g=g, sigma=sigma, A=A, c0=c0, project=False
+        )
+    except (ConfigurationError, MetricValidityError) as exc:
+        raise CheckpointError(f"snapshot holds no valid state: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

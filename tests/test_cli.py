@@ -76,6 +76,11 @@ class TestRunCommand:
         assert code == 1
         assert "key 't_final'" in capsys.readouterr().err
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code = run_cli("audit", "--out", str(tmp_path / "o"), "--seed", "-1")
+        assert code == 1
+        assert "key 'seed'" in capsys.readouterr().err
+
     def test_snapshots_at_cadence(self, tmp_path):
         out = tmp_path / "snaps"
         code = run_cli(

@@ -112,7 +112,7 @@ class TestParseConfig:
         for doc in ("t_final = nan\n", "eps = inf\n", "amplitude = nan\n",
                     "dt = nan\n", "slope_A = inf\n", "cfl_factor = -1\n",
                     "cfl_factor = 0\n", "cfl_factor = nan\n", "shear_delta = 0\n",
-                    "eps_list = 0.01,nan\n", "eps_list = inf\n"):
+                    "eps_list = 0.01,nan\n", "eps_list = inf\n", "seed = -1\n"):
             with pytest.raises(ConfigurationError) as excinfo:
                 parse_config(doc)
             key = doc.split(" =")[0]
@@ -199,6 +199,38 @@ class TestCheckpoint:
         bad_version.write_bytes(bytes(chunk))
         with pytest.raises(CheckpointError):
             restore_checkpoint(bad_version)
+
+    def test_invalid_state_rejected(self, tmp_path):
+        # a header or payload that parses but rebuilds no valid grid or state
+        import struct
+
+        from wavetank.persist import _HEADER
+
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        save_checkpoint(tmp_path / "ok.wtk", make_flow_state(
+            g, 1e-3 * np.cos(g.y_nodes), np.zeros((2, g.n_y, g.n_z)), eps=1e-3
+        ))
+        raw = (tmp_path / "ok.wtk").read_bytes()
+        header = list(_HEADER.unpack(raw[:_HEADER.size]))
+
+        def with_header(slot, value):
+            fields = list(header)
+            fields[slot] = value
+            return _HEADER.pack(*fields) + raw[_HEADER.size:]
+
+        # header slots: 5 length_y, 8 eps, 14 c0
+        cases = {
+            "nan_payload": raw[:-8] + struct.pack("<d", float("nan")),
+            "length_y": with_header(5, -1.0),
+            "c0": with_header(14, 0.0),
+            "eps": with_header(8, -1.0),
+        }
+        for name, data in cases.items():
+            path = tmp_path / f"{name}.wtk"
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError) as excinfo:
+                restore_checkpoint(path)
+            assert isinstance(excinfo.value.__cause__, ConfigurationError), name
 
     def test_restart_matches_uninterrupted_exactly(self):
         g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
