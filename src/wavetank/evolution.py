@@ -20,6 +20,8 @@ operator on the flat strip (h = 0), which is separable: the iteration count
 depends on the surface's amplitude, not on the grid size.
 """
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,18 +72,23 @@ def _grid_key(grid):
     )
 
 
-def _band_width(M):
-    rows, cols = np.nonzero(M)
-    return int(np.max(np.abs(rows - cols)))
+def _band_width(X, shift):
+    """Half-bandwidth of block X in a matrix that interleaves two unknowns
+    per node, where the entry X[a, b] lies 2 (b - a) + shift off the
+    diagonal."""
+    rows, cols = np.nonzero(X)
+    return int(np.max(np.abs(2 * (cols - rows) + shift), initial=0))
 
 
-def _upper_band(M, kd):
-    """LAPACK upper band storage: ab[kd + i - j, j] = M[i, j] for i <= j."""
-    n = M.shape[0]
-    ab = np.zeros((kd + 1, n), dtype=M.dtype)
-    for off in range(kd + 1):
-        ab[kd - off, off:] = np.diagonal(M, off)
-    return ab
+def _place_block(ab, X, row, col):
+    """Write block X, whose entry X[a, b] sits at row 2 a + row and column
+    2 b + col of an interleaved matrix M, into the upper band storage ab of
+    M, shaped (kd + 1, n_z, 2): ab[kd + i - j, j] = M[i, j] for i <= j."""
+    kd = ab.shape[0] - 1
+    for e in range(X.shape[0]):
+        off = 2 * e + col - row
+        if 0 <= off <= kd:
+            ab[kd - off, e:, col] = np.diagonal(X, e)
 
 
 class SolverOps:
@@ -159,13 +166,16 @@ class SolverOps:
         return flat_strip_solve(r, V, denominator).ravel()
 
     def _viscous_bands(self, A, tau):
-        """Complex banded Cholesky factors, one per mode, of the flat viscous
-        operator with unknowns interleaved as (u_j, w_j):
+        """Complex banded Cholesky factor of the flat viscous operator, all
+        rfft modes in one band matrix: mode k's block, with unknowns
+        interleaved as (u_j, w_j), is
 
             W + tau [[sigma^2 W + L3 / 2, i sigma D3^T W / 2],
                      [h.c.,               L3 + sigma^2 W / 2]],
 
-        W = A dy W_z, D3 = dz_3pt / A, L3 = D3^T W D3, bottom rows pinned."""
+        W = A dy W_z, D3 = dz_3pt / A, L3 = D3^T W D3, bottom rows pinned.
+        The blocks follow one another on the diagonal, so the band entries
+        between them are zero and one factorization factors every mode."""
         key = (A, tau)
         if self._viscous_factor is None or self._viscous_factor[0] != key:
             grid = self.grid
@@ -173,52 +183,51 @@ class SolverOps:
             W = A * grid.dy * grid.quadrature_weights_z
             D3 = grid.vertical_derivative_matrix() / A
             L3 = D3.T @ (W[:, None] * D3)
-            DW = D3.T * W[None, :]
+            uu = np.diag(W) + 0.5 * tau * L3
+            ww = np.diag(W) + tau * L3
+            # the u-w coupling is i sigma_k times uw
+            uw = 0.5 * tau * (D3.T * W[None, :])
+            # sigma_k^2 times mass is the rest of the diagonal
+            mass = np.stack([tau * W, 0.5 * tau * W], axis=1)
+            # no-slip bottom: u_0 and w_0 pinned
+            for X in (uu, ww, uw):
+                X[0, :] = X[:, 0] = 0.0
+            mass[0] = 0.0
+            uu[0, 0] = ww[0, 0] = 1.0
 
-            def interleave(uu, uw, ww):
-                M = np.zeros((2 * nz, 2 * nz), dtype=complex)
-                M[0::2, 0::2] = uu
-                M[0::2, 1::2] = uw
-                M[1::2, 0::2] = np.conj(uw).T
-                M[1::2, 1::2] = ww
-                # no-slip bottom: u_0 and w_0 pinned
-                M[:2, :] = 0.0
-                M[:, :2] = 0.0
-                return M
-
-            M0 = interleave(np.diag(W) + 0.5 * tau * L3, 0.0, np.diag(W) + tau * L3)
-            M0[0, 0] = M0[1, 1] = 1.0
-            M1 = interleave(0.0, 0.5j * tau * DW, 0.0)
-            M2 = interleave(tau * np.diag(W), 0.0, 0.5 * tau * np.diag(W))
-            # the u-w coupling vanishes at k = 0, so the band comes from k = 1
-            sig = self.sigma
-            kd = _band_width(M0 + sig[1] * M1 + sig[1] ** 2 * M2)
-            bands = (
-                _upper_band(M0, kd)[None]
-                + sig[:, None, None] * _upper_band(M1, kd)[None]
-                + sig[:, None, None] ** 2 * _upper_band(M2, kd)[None]
-            )
-            for k in range(bands.shape[0]):
-                bands[k], info = zpbtrf(bands[k], lower=0)
-                if info != 0:
-                    raise SolverFailureError(
-                        f"banded Cholesky of the flat viscous operator failed "
-                        f"at mode {k} (info {info})"
-                    )
-            self._viscous_factor = (key, bands)
+            kd = max(_band_width(uu, 0), _band_width(ww, 0), _band_width(uw, 1))
+            real = np.zeros((kd + 1, nz, 2))
+            _place_block(real, uu, 0, 0)
+            _place_block(real, ww, 1, 1)
+            imag = np.zeros((kd + 1, nz, 2))
+            _place_block(imag, uw, 0, 1)
+            _place_block(imag, -uw.T, 1, 0)
+            n_modes = len(self.sigma)
+            sig = self.sigma[:, None, None]
+            bands = np.empty((kd + 1, n_modes * 2 * nz), complex, order="F")
+            blocks = bands.reshape(kd + 1, n_modes, nz, 2)
+            blocks.real = real[:, None]
+            blocks.real[kd] += sig ** 2 * mass
+            blocks.imag = sig * imag[:, None]
+            factor, info = zpbtrf(bands, lower=0, overwrite_ab=1)
+            if info != 0:
+                raise SolverFailureError(
+                    f"banded Cholesky of the flat viscous operator failed "
+                    f"at mode {(info - 1) // (2 * nz)} (info {info})"
+                )
+            self._viscous_factor = (key, factor)
         return self._viscous_factor[1]
 
     def flat_viscous_solve(self, r, A, tau):
-        """Exact inverse of the pinned flat-metric viscous operator, one
-        banded solve per rfft mode in y."""
+        """Exact inverse of the pinned flat-metric viscous operator: one
+        banded solve over all rfft modes in y."""
         ny, nz = self.grid.n_y, self.grid.n_z
-        bands = self._viscous_bands(A, tau)
+        factor = self._viscous_bands(A, tau)
         modes = np.fft.rfft(r.reshape(2, ny, nz), axis=1)
         x = np.empty((modes.shape[1], 2 * nz), dtype=complex)
         x[:, 0::2] = modes[0]
         x[:, 1::2] = modes[1]
-        for k in range(x.shape[0]):
-            x[k] = zpbtrs(bands[k], x[k], lower=0)[0]
+        x = zpbtrs(factor, x.ravel(), lower=0)[0].reshape(-1, 2 * nz)
         out = np.fft.irfft(np.stack([x[:, 0::2], x[:, 1::2]]), n=ny, axis=1)
         return out.ravel()
 
@@ -378,8 +387,8 @@ class MetricOps:
         The top boundary carries the natural (weakly traction-free)
         condition of the strain form.  The system is SPD and mass-dominated;
         it is applied matrix-free and preconditioned by its flat-metric
-        inverse, a complex banded Cholesky per rfft mode in y factored once
-        per (grid, A, eps dt).
+        inverse, one complex banded Cholesky factor over all rfft modes in
+        y, factored once per (grid, A, eps dt).
         """
         ops = self.ops
         n = ops.n
@@ -411,12 +420,16 @@ def metric_ops(grid, d) -> MetricOps:
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """Velocity, surface, metric, and physical parameters at one time."""
+    """Velocity, surface and physical parameters at one time.
+
+    The metric d is not stored: it is built from (h, A, c0) on first use and
+    kept until the state is dropped.  The build is deterministic, so a
+    rebuilt metric is bit-identical to the one the run stepped with.
+    """
 
     t: float
     v: Field
     h: SurfaceState
-    d: object
     eps: float
     g: float
     sigma: float
@@ -424,8 +437,23 @@ class FlowState:
     c0: float
 
     def __post_init__(self):
+        params = (self.t, self.eps, self.g, self.sigma, self.A, self.c0)
+        if not all(math.isfinite(p) for p in params):
+            raise ConfigurationError("t, eps, g, sigma, A, c0 must all be finite")
         if self.eps < 0 or self.g < 0 or self.sigma < 0:
             raise ConfigurationError("eps, g, sigma must all be >= 0")
+        if self.A <= 0 or self.c0 <= 0:
+            raise ConfigurationError("A and c0 must both be > 0")
+
+    @cached_property
+    def d(self):
+        return build_diffeomorphism(self.h, A=self.A, c0=self.c0)
+
+
+def _with_metric(state, d):
+    """state with its metric cache seeded by d, the metric of (h, A, c0)."""
+    vars(state)["d"] = d
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,10 +499,11 @@ def make_flow_state(grid, h_values, v_values, t=0.0, eps=0.0, g=1.0, sigma=1.0,
     if project:
         mops = metric_ops(grid, d)
         v = mops.project(v)
-    return FlowState(
-        t=float(t), v=Field(grid, v), h=h, d=d,
+    state = FlowState(
+        t=float(t), v=Field(grid, v), h=h,
         eps=float(eps), g=float(g), sigma=float(sigma), A=d.A, c0=float(c0),
     )
+    return _with_metric(state, d)
 
 
 def kinematic_rhs(v_values, d):
@@ -595,9 +624,8 @@ def advance(state: FlowState, dt: float):
     mops1 = metric_ops(grid, d1)
     v1, iters_p2 = mops1.project(v_proj, return_iterations=True)
 
-    new_state = FlowState(
-        t=state.t + dt, v=Field(grid, v1), h=h1, d=d1,
-        eps=state.eps, g=state.g, sigma=state.sigma, A=state.A, c0=state.c0,
+    new_state = _with_metric(
+        dataclasses.replace(state, t=state.t + dt, v=Field(grid, v1), h=h1), d1
     )
 
     # residual bookkeeping
@@ -667,7 +695,8 @@ def energy_report(state: FlowState) -> EnergyReport:
 
 @dataclass
 class Trajectory:
-    """Stored output of one run: states and reports at output times."""
+    """Stored output of one run: states (without their metrics) and reports
+    at output times."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -676,8 +705,10 @@ class Trajectory:
     failure: Exception = None
 
     def record(self, state, report=None):
+        """Store state without its metric; the energy terms are read from
+        the live state, which holds it."""
         self.times.append(state.t)
-        self.states.append(state)
+        self.states.append(dataclasses.replace(state))
         self.energy.append(energy_report(state))
         if report is not None:
             self.step_reports.append(report)

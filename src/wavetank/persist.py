@@ -6,6 +6,7 @@ clustering, extension slope, metric floor), then the surface samples, then
 the velocity samples as 64-bit floats.  A snapshot round-trips bit for bit.
 """
 
+import dataclasses
 import numbers
 import struct
 from collections import namedtuple
@@ -90,11 +91,13 @@ def restore_checkpoint(path) -> FlowState:
             clustering=CLUSTERINGS[clustering_code], stretch_gamma=gamma,
         )
         # project=False: restoration must reproduce the stored state exactly
-        return make_flow_state(
+        state = make_flow_state(
             grid, h, v, t=t, eps=eps, g=g, sigma=sigma, A=A, c0=c0, project=False
         )
     except (ConfigurationError, MetricValidityError) as exc:
         raise CheckpointError(f"snapshot holds no valid state: {exc}") from exc
+    # the metric was built to check the c0 floor; the state rebuilds it on use
+    return dataclasses.replace(state)
 
 
 # ---------------------------------------------------------------------------

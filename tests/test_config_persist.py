@@ -218,12 +218,14 @@ class TestCheckpoint:
             fields[slot] = value
             return _HEADER.pack(*fields) + raw[_HEADER.size:]
 
-        # header slots: 5 length_y, 8 eps, 14 c0
+        # header slots: 5 length_y, 7 t, 8 eps, 13 A, 14 c0
         cases = {
             "nan_payload": raw[:-8] + struct.pack("<d", float("nan")),
             "length_y": with_header(5, -1.0),
             "c0": with_header(14, 0.0),
             "eps": with_header(8, -1.0),
+            "t": with_header(7, float("nan")),
+            "A": with_header(13, float("nan")),
         }
         for name, data in cases.items():
             path = tmp_path / f"{name}.wtk"

@@ -1,11 +1,15 @@
+import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from wavetank import evolution
+from wavetank.diagnostics import epsilon_sweep
 from wavetank.elliptic import (
     capillary_trace,
     decompose_pressure,
@@ -24,6 +28,7 @@ from wavetank.evolution import (
     run,
 )
 from wavetank.grid import Field, l2_norm, make_grid
+from wavetank.persist import restore_checkpoint, save_checkpoint, write_series_csv
 from wavetank.surface import build_diffeomorphism, surface_from_values
 
 from conftest import random_valid_metric, smooth_vector
@@ -295,7 +300,7 @@ class TestStepInvariants:
         dt = 0.03
         fwd, _ = advance(st, dt)
         flipped = FlowState(
-            t=0.0, v=Field(wave_grid, -fwd.v.values), h=fwd.h, d=fwd.d,
+            t=0.0, v=Field(wave_grid, -fwd.v.values), h=fwd.h,
             eps=0.0, g=st.g, sigma=st.sigma, A=st.A, c0=st.c0,
         )
         back, _ = advance(flipped, dt)
@@ -394,6 +399,83 @@ def _solve_iterations(grid, d, rng):
     _, it_proj = mops.project(v, return_iterations=True)
     _, it_visc = mops.viscous_solve(v, 1e-2, 0.05)
     return it_proj, it_visc
+
+
+def _per_mode_flat_viscous(grid, A, tau):
+    """Upper band storage, one array per rfft mode, of the flat viscous
+    operator, cut from its dense (2 n_z)^2 blocks with (u_j, w_j)
+    interleaved and the bottom rows pinned."""
+    nz = grid.n_z
+    W = A * grid.dy * grid.quadrature_weights_z
+    D3 = grid.vertical_derivative_matrix() / A
+    L3 = D3.T @ (W[:, None] * D3)
+    DW = D3.T * W[None, :]
+
+    def interleave(uu, uw, ww):
+        M = np.zeros((2 * nz, 2 * nz), dtype=complex)
+        M[0::2, 0::2] = uu
+        M[0::2, 1::2] = uw
+        M[1::2, 0::2] = np.conj(uw).T
+        M[1::2, 1::2] = ww
+        M[:2, :] = 0.0
+        M[:, :2] = 0.0
+        return M
+
+    M0 = interleave(np.diag(W) + 0.5 * tau * L3, 0.0, np.diag(W) + tau * L3)
+    M0[0, 0] = M0[1, 1] = 1.0
+    M1 = interleave(0.0, 0.5j * tau * DW, 0.0)
+    M2 = interleave(tau * np.diag(W), 0.0, 0.5 * tau * np.diag(W))
+    sigma = evolution.SolverOps(grid).sigma
+    rows, cols = np.nonzero(M0 + sigma[1] * M1 + sigma[1] ** 2 * M2)
+    kd = int(np.max(np.abs(rows - cols)))
+
+    def band(M):
+        ab = np.zeros((kd + 1, 2 * nz), dtype=complex)
+        for off in range(kd + 1):
+            ab[kd - off, off:] = np.diagonal(M, off)
+        return ab
+
+    B0, B1, B2 = band(M0), band(M1), band(M2)
+    return [B0 + s * B1 + s2 * B2 for s, s2 in zip(sigma, sigma ** 2)]
+
+
+class TestStackedViscousFactor:
+    """The flat viscous factor is one band matrix holding every mode; it
+    must reproduce a factorization and solve per mode bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(16, 24, "uniform", 0.0),
+                                      (32, 72, "tanh", 3.5)])
+    @pytest.mark.parametrize("A, tau", [(1.0, 1e-4), (1.3, 0.7)])
+    def test_solve_matches_the_per_mode_route(self, dims, A, tau, rng):
+        n_y, n_z, clustering, gamma = dims
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi,
+                      clustering=clustering, stretch_gamma=gamma)
+        r = rng.standard_normal(2 * n_y * n_z)
+        modes = np.fft.rfft(r.reshape(2, n_y, n_z), axis=1)
+        x = np.empty((modes.shape[1], 2 * n_z), dtype=complex)
+        x[:, 0::2] = modes[0]
+        x[:, 1::2] = modes[1]
+        for k, ab in enumerate(_per_mode_flat_viscous(g, A, tau)):
+            factor, info = zpbtrf(ab, lower=0)
+            assert info == 0
+            x[k] = zpbtrs(factor, x[k], lower=0)[0]
+        ref = np.fft.irfft(np.stack([x[:, 0::2], x[:, 1::2]]), n=n_y, axis=1)
+        out = evolution.SolverOps(g).flat_viscous_solve(r, A, tau)
+        assert np.array_equal(out, ref.ravel())
+
+    def test_failure_names_the_failing_mode(self):
+        # a short, shallow period: sigma_k^2 tau W turns the u block
+        # indefinite from some mode k > 0 on while mode 0 stays definite
+        g = make_grid(64, 8, 1.0, 2.0 * np.pi, clustering="uniform",
+                      stretch_gamma=0.0)
+        tau = -1e-2
+        first = next(k for k, ab in enumerate(_per_mode_flat_viscous(g, 1.0, tau))
+                     if zpbtrf(ab, lower=0)[1] != 0)
+        assert first > 0
+        with pytest.raises(SolverFailureError, match=f"at mode {first} "):
+            evolution.SolverOps(g).flat_viscous_solve(
+                np.ones(2 * g.n_y * g.n_z), 1.0, tau
+            )
 
 
 class TestPreconditionedSolves:
@@ -515,6 +597,92 @@ class TestStoredOutputs:
         assert built and alive == 0, f"{alive} of {len(built)} MetricOps alive"
 
 
+class TestStoredMetric:
+    """A stored or restored state keeps (t, h, v) and its parameters; its
+    metric is rebuilt, bit for bit, when something asks for it."""
+
+    def test_stored_and_restored_states_hold_no_metric(self, tmp_path):
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        st = standing_wave_state(g, a=1e-2, eps=1e-3)
+        traj = run(st, t_final=0.3, dt=0.03)
+        assert traj.failure is None
+        write_series_csv(tmp_path / "series.csv", traj)
+        restored = []
+        for k, state in enumerate(traj.states):
+            save_checkpoint(tmp_path / f"{k}.wtk", state)
+            restored.append(restore_checkpoint(tmp_path / f"{k}.wtk"))
+        sweep = epsilon_sweep(lambda eps: standing_wave_state(g, a=1e-2, eps=eps),
+                              [1e-2, 1e-3, 0.0], t_final=0.12, dt=0.03,
+                              output_every=1)
+        assert sweep.complete and sweep.conormal_max
+        members = [s for t in sweep.trajectories.values() for s in t.states]
+        for name, states in (("stored", traj.states), ("restored", restored),
+                             ("sweep", members)):
+            held = sum("d" in vars(s) for s in states)
+            assert held == 0, f"{held} of {len(states)} {name} states hold a metric"
+
+    def test_metric_builds_per_run(self, monkeypatch, tmp_path):
+        # fresh: one build for the starting state, two per step; resumed:
+        # restore's validation build, then the restored state's own
+        calls = []
+        build = evolution.build_diffeomorphism
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "build_diffeomorphism", counted)
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        st = standing_wave_state(g, a=1e-2, eps=1e-3)
+        fresh = run(st, t_final=0.18, dt=0.03)
+        steps = len(fresh.step_reports)
+        assert fresh.failure is None and steps == 6
+        assert len(calls) == 2 * steps + 1
+        save_checkpoint(tmp_path / "mid.wtk", fresh.states[-1])
+        calls.clear()
+        resumed = run(restore_checkpoint(tmp_path / "mid.wtk"), t_final=0.36,
+                      dt=0.03)
+        steps = len(resumed.step_reports)
+        assert resumed.failure is None and steps > 0
+        assert len(calls) == 2 * steps + 2
+
+    def test_memory_per_stored_output_is_the_state(self):
+        # beyond v and h, one output keeps about 1.2 KB of objects (array
+        # headers, h's rfft, the state, surface, field and report objects
+        # and their floats); a kept metric would add 2 n_y n_z floats
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        st = standing_wave_state(g, a=1e-2, eps=1e-3)
+        run(st, t_final=0.09, dt=0.03)  # fills the solver caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = run(standing_wave_state(g, a=1e-2, eps=1e-3), t_final=0.6,
+                       dt=0.03)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            n = len(traj.states)
+            last = traj.states[-1]
+            data = last.v.values.nbytes + last.h.h_values.nbytes
+            del traj, last
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n == 21
+        assert held / n <= data + 2048, f"{held / n:.0f} B per output"
+
+    def test_restored_metric_is_bit_identical(self, tmp_path):
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        state, _ = advance(standing_wave_state(g, a=1e-2, eps=1e-3), 0.03)
+        assert "d" in vars(state)  # the metric the step built
+        save_checkpoint(tmp_path / "s.wtk", state)
+        back = restore_checkpoint(tmp_path / "s.wtk")
+        assert back.d.A == state.d.A
+        for name in ("dzphi", "grad_y_phi"):
+            saved = getattr(state.d, name).values
+            assert np.array_equal(getattr(back.d, name).values, saved), name
+
+
 class TestValidation:
     def test_negative_parameters_rejected(self, wave_grid):
         with pytest.raises(ConfigurationError):
@@ -524,6 +692,16 @@ class TestValidation:
                 np.zeros((2, wave_grid.n_y, wave_grid.n_z)),
                 eps=-1.0,
             )
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ("t", "eps", "g", "sigma", "A", "c0")
+        for value in (np.nan, np.inf, -np.inf)
+    ] + [("A", 0.0), ("A", -1.0), ("c0", 0.0), ("c0", -0.25)])
+    def test_bad_parameters_rejected(self, wave_grid, name, value):
+        st = standing_wave_state(wave_grid)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(st, **{name: value})
 
     def test_bad_velocity_shape(self, wave_grid):
         with pytest.raises(ConfigurationError):
