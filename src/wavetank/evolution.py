@@ -61,15 +61,19 @@ from .elliptic import decompose_pressure  # noqa: F401
 _OPS_CACHE = {}
 
 
-def _grid_key(grid):
-    return (
-        grid.n_y,
-        grid.n_z,
-        grid.length_y,
-        grid.depth_H,
-        grid.clustering,
-        grid.stretch_gamma,
-    )
+def _block_diagonal(X, n_blocks):
+    """n_blocks copies of the banded square X down the diagonal, and of X^T,
+    stored by diagonal: each nonzero diagonal of X, padded with |offset|
+    zeros across the block boundary, tiled; diagonal k of X is diagonal -k
+    of X^T.  The offsets ascend, so each row of a matvec adds its terms in
+    column order, as CSR does."""
+    rows, cols = np.nonzero(X)
+    offsets = np.unique(cols - rows)
+    diagonals = [np.tile(np.append(np.diagonal(X, k), np.zeros(abs(k))), n_blocks)
+                 for k in offsets]
+    n = X.shape[0] * n_blocks
+    return (sp.diags(diagonals, offsets, shape=(n, n), format="dia"),
+            sp.diags(diagonals[::-1], -offsets[::-1], shape=(n, n), format="dia"))
 
 
 def _band_width(X, shift):
@@ -92,8 +96,10 @@ def _place_block(ab, X, row, col):
 
 
 class SolverOps:
-    """Sparse derivative matrices on flattened (n_y * n_z) vectors, and the
-    factors of the flat-metric operators that precondition the metric solves.
+    """Derivative matrices on flattened (n_y * n_z) vectors, stored by
+    diagonal and built from their 1-D stencils (dz_sbp_t and dz_3pt_t are
+    the transposes), and the factors of the flat-metric operators that
+    precondition the metric solves.
 
     dy_c:  centered periodic horizontal derivative (exactly antisymmetric).
     dz_sbp: wide-centered vertical derivative; with the trapezoid weights it
@@ -109,19 +115,14 @@ class SolverOps:
         ny, nz = grid.n_y, grid.n_z
         n = ny * nz
         dy = grid.dy
-        e = np.ones(ny)
-        Dy1 = sp.diags([e[:-1], -e[:-1]], [1, -1], shape=(ny, ny), format="lil")
-        Dy1[0, -1] = -1.0
-        Dy1[-1, 0] = 1.0
-        self.dy_c = sp.kron(Dy1.tocsr() / (2.0 * dy), sp.identity(nz), format="csr")
-        self.dz_sbp = sp.kron(
-            sp.identity(ny), sp.csr_matrix(grid.sbp_derivative_matrix()), format="csr"
+        r = 1.0 / (2.0 * dy)
+        self.dy_c = sp.diags(
+            [r, -r, r, -r], [-(n - nz), -nz, nz, n - nz], shape=(n, n), format="dia"
         )
-        self.dz_3pt = sp.kron(
-            sp.identity(ny), sp.csr_matrix(grid.vertical_derivative_matrix()), format="csr"
-        )
-        self.dz_sbp_t = self.dz_sbp.T.tocsr()
-        self.dz_3pt_t = self.dz_3pt.T.tocsr()
+        D = grid.sbp_derivative_matrix()
+        D3 = grid.vertical_derivative_matrix()
+        self.dz_sbp, self.dz_sbp_t = _block_diagonal(D, ny)
+        self.dz_3pt, self.dz_3pt_t = _block_diagonal(D3, ny)
         self.grid = grid
         self.n = n
         idx = np.arange(ny) * nz
@@ -143,7 +144,6 @@ class SolverOps:
         # dy (A sigma_k^2 W_z + L / A), L = Dz_sbp^T W_z Dz_sbp; diagonalized
         # as W_z^(-1/2) L W_z^(-1/2) = Q diag(lam) Q^T
         wz = grid.quadrature_weights_z
-        D = grid.sbp_derivative_matrix()
         L = (D.T @ (wz[:, None] * D))[:-1, :-1]
         s = 1.0 / np.sqrt(wz[:-1])
         lam, Q = np.linalg.eigh(s[:, None] * L * s[None, :])
@@ -224,16 +224,15 @@ class SolverOps:
         ny, nz = self.grid.n_y, self.grid.n_z
         factor = self._viscous_bands(A, tau)
         modes = np.fft.rfft(r.reshape(2, ny, nz), axis=1)
-        x = np.empty((modes.shape[1], 2 * nz), dtype=complex)
-        x[:, 0::2] = modes[0]
-        x[:, 1::2] = modes[1]
-        x = zpbtrs(factor, x.ravel(), lower=0)[0].reshape(-1, 2 * nz)
-        out = np.fft.irfft(np.stack([x[:, 0::2], x[:, 1::2]]), n=ny, axis=1)
+        # unknowns interleaved as (u_j, w_j) within each mode, and back
+        x = zpbtrs(factor, np.moveaxis(modes, 0, -1).ravel(), lower=0)[0]
+        out = np.fft.irfft(np.moveaxis(x.reshape(-1, nz, 2), -1, 0), n=ny, axis=1)
         return out.ravel()
 
 
 def solver_ops(grid) -> SolverOps:
-    key = _grid_key(grid)
+    key = (grid.n_y, grid.n_z, grid.length_y, grid.depth_H, grid.clustering,
+           grid.stretch_gamma)
     if key not in _OPS_CACHE:
         _OPS_CACHE[key] = SolverOps(grid)
     return _OPS_CACHE[key]
@@ -287,6 +286,11 @@ class MetricOps:
         """alpha = w (1 + b^2) / c, beta = w b, gamma = w c; on first use."""
         w = self.ops.weights
         return w * (1.0 + self.b ** 2) / self.c, w * self.b, self.wc
+
+    @cached_property
+    def _stacked_mass(self):
+        """W_c on both components of a stacked (2n) velocity; on first use."""
+        return np.concatenate([self.wc, self.wc])
 
     def gram(self, psi):
         """G^T W_c G psi with the surface value of psi pinned (identity rows),
@@ -362,8 +366,6 @@ class MetricOps:
 
     def strain_dissipation(self, v, eps):
         """4 eps integral(|S v|^2) dV_t with the solver strain."""
-        if eps == 0.0:
-            return 0.0
         s11, s12, s22 = self._strain(np.ravel(v[0]), np.ravel(v[1]))
         val = np.sum(self.wc * (s11 ** 2 + s22 ** 2 + 2.0 * s12 ** 2))
         return 4.0 * eps * float(val)
@@ -376,7 +378,7 @@ class MetricOps:
         x = u.copy()
         x[bottom] = 0.0
         k1, k2 = self._strain_form(x[:n], x[n:])
-        out = np.concatenate([self.wc, self.wc]) * x
+        out = self._stacked_mass * x
         out += 2.0 * eps * dt * np.concatenate([k1, k2])
         out[bottom] = u[bottom]
         return out
@@ -391,9 +393,8 @@ class MetricOps:
         y, factored once per (grid, A, eps dt).
         """
         ops = self.ops
-        n = ops.n
-        u = np.concatenate([np.ravel(v[0]), np.ravel(v[1])])
-        rhs = np.concatenate([self.wc, self.wc]) * u
+        u = np.ravel(v)
+        rhs = self._stacked_mass * u
         rhs[ops.no_slip_idx] = 0.0
         x0 = u.copy()
         x0[ops.no_slip_idx] = 0.0
@@ -404,10 +405,7 @@ class MetricOps:
             x0,
             lambda r: ops.flat_viscous_solve(r, A, tau),
         )
-        out = np.stack(
-            [sol[:n].reshape(self.grid.shape), sol[n:].reshape(self.grid.shape)]
-        )
-        return out, iters
+        return sol.reshape(2, *self.grid.shape), iters
 
 
 def metric_ops(grid, d) -> MetricOps:
@@ -683,7 +681,9 @@ def energy_report(state: FlowState) -> EnergyReport:
     capillary = 2.0 * state.sigma * integrate_boundary(
         grid, np.sqrt(1.0 + slope ** 2) - 1.0
     )
-    dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
+    dissipation = 0.0  # the Euler limit builds no solver operators
+    if state.eps > 0:
+        dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,

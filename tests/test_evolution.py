@@ -439,6 +439,46 @@ def _per_mode_flat_viscous(grid, A, tau):
     return [B0 + s * B1 + s2 * B2 for s, s2 in zip(sigma, sigma ** 2)]
 
 
+def _kron_derivative_matrices(grid):
+    """The five stepper matrices built the long way: Kronecker products of
+    the 1-D operators, in CSR."""
+    ny, nz = grid.n_y, grid.n_z
+    Dy1 = np.diag(np.ones(ny - 1), 1) - np.diag(np.ones(ny - 1), -1)
+    Dy1[0, -1], Dy1[-1, 0] = -1.0, 1.0
+    eye_y, eye_z = sp.identity(ny), sp.identity(nz)
+    dz_sbp = sp.kron(eye_y, sp.csr_matrix(grid.sbp_derivative_matrix()), format="csr")
+    dz_3pt = sp.kron(eye_y, sp.csr_matrix(grid.vertical_derivative_matrix()),
+                     format="csr")
+    return {
+        "dy_c": sp.kron(sp.csr_matrix(Dy1) / (2.0 * grid.dy), eye_z, format="csr"),
+        "dz_sbp": dz_sbp,
+        "dz_3pt": dz_3pt,
+        "dz_sbp_t": dz_sbp.T.tocsr(),
+        "dz_3pt_t": dz_3pt.T.tocsr(),
+    }
+
+
+class TestDiagonalStorage:
+    """The stepper's derivative matrices are stored by diagonal and built
+    from their stencils; they must equal the Kronecker-product matrices
+    entry for entry, and their matvecs must be bit-identical to CSR's."""
+
+    @pytest.mark.parametrize("dims", [(8, 8, "uniform"), (10, 11, "uniform"),
+                                      (16, 24, "tanh"), (48, 64, "tanh")])
+    def test_matches_the_kronecker_route(self, dims, rng):
+        n_y, n_z, clustering = dims
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi, clustering=clustering)
+        ops = evolution.SolverOps(g)
+        vectors = rng.standard_normal((4, n_y * n_z))
+        for name, ref in _kron_derivative_matrices(g).items():
+            M = getattr(ops, name)
+            # adding or subtracting DIA matrices quietly returns CSR
+            assert M.format == "dia", name
+            assert np.array_equal(M.toarray(), ref.toarray()), name
+            for x in vectors:
+                assert np.array_equal(M @ x, ref @ x), name
+
+
 class TestStackedViscousFactor:
     """The flat viscous factor is one band matrix holding every mode; it
     must reproduce a factorization and solve per mode bit for bit."""
