@@ -28,12 +28,11 @@ from .operators import (
     vorticity_phi,
 )
 from .elliptic import (
-    EllipticProblem,
+    EllipticOperator,
     PressureSplit,
     decompose_pressure,
     dirichlet_neumann,
     qE_inner_split,
-    solve_elliptic,
 )
 from .evolution import (
     EnergyReport,

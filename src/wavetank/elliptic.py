@@ -1,12 +1,14 @@
 """Variable-coefficient elliptic Dirichlet solves and the pressure split.
 
-All solves share one symmetric stiffness matrix per metric (divergence form,
-cell-averaged E) and one conjugate-gradient loop under one iteration budget,
-CG_BUDGET.  The Dirichlet-Neumann operator is the weak boundary flux of the
-same matrix, so its discrete bilinear form is exactly symmetric.  Every CG
-solve, here and in the time stepper, is preconditioned by the exact inverse
-of its operator on the flat strip (h = 0), applied through flat_strip_solve:
-the iteration count depends on the surface's amplitude, not on the grid.
+EllipticOperator(d) assembles one symmetric stiffness matrix per metric
+(divergence form, cell-averaged E), checks E positive definite once, and
+serves every Dirichlet solve on that metric through one conjugate-gradient
+loop under one iteration budget, CG_BUDGET.  The Dirichlet-Neumann operator
+is the weak boundary flux of the same matrix, so its discrete bilinear form
+is exactly symmetric.  Every CG solve, here and in the time stepper, is
+preconditioned by the exact inverse of its operator on the flat strip
+(h = 0), applied through flat_strip_solve: the iteration count depends on
+the surface's amplitude, not on the grid.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ from .operators import (
     dual_areas,
     flux_load,
     jacobian_phi,
+    linear_element_matrices,
     strain_phi,
 )
 from .surface import surface_geometry
@@ -92,46 +95,30 @@ def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
     )
 
 
-@dataclass
-class EllipticProblem:
-    """One Dirichlet solve: -div(E grad q) = rhs (+ div F), q|top given.
-
-    rhs is the plain source of -Delta_phi q = rhs (it gets weighted by
-    dz_phi in the weak load); flux_rhs supplies a right-hand side already in
-    divergence form, as (F1, F2) with -div(E grad q) = div F.
-    """
-
-    metric: MetricMatrices
-    dirichlet_top: np.ndarray
-    rhs: np.ndarray = None
-    flux_rhs: tuple = None
-    bottom_condition: str = "neumann_zero"
-
-    def __post_init__(self):
-        if self.bottom_condition not in ("neumann_zero", "dirichlet_zero"):
-            raise ConfigurationError(
-                f"bottom condition must be neumann_zero or dirichlet_zero, "
-                f"got {self.bottom_condition!r}"
-            )
-        if self.metric.min_eigenvalue() <= 0:
-            raise MetricValidityError(
-                "coefficient matrix E is not positive definite",
-                observed_min=self.metric.min_eigenvalue(),
-            )
-        for arr in (self.rhs, self.dirichlet_top, *(self.flux_rhs or ())):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ConfigurationError("elliptic data contains non-finite values")
+def _checked(name, values, shape):
+    """values as a float array of the given shape, all finite."""
+    arr = np.asarray(values, float)
+    if arr.shape != shape:
+        raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} contains non-finite values")
+    return arr
 
 
 class EllipticOperator:
-    """Assembled stiffness for one metric, reused across several solves."""
+    """The stiffness of -div(E grad q) for one metric, reused across solves."""
 
-    def __init__(self, grid, metric: MetricMatrices):
-        self.grid = grid
+    def __init__(self, d):
+        metric = MetricMatrices(d)
+        lowest = metric.min_eigenvalue()
+        if lowest <= 0:
+            raise MetricValidityError(
+                "coefficient matrix E is not positive definite", observed_min=lowest
+            )
+        self.grid = d.grid
         self.metric = metric
-        self.A = divergence_form_matrix(grid, metric.E11, metric.E12, metric.E22)
-        self.dual = dual_areas(grid)
-        self.top_idx = np.arange(grid.n_y) * grid.n_z + (grid.n_z - 1)
+        self.A = divergence_form_matrix(d.grid, metric.E11, metric.E12, metric.E22)
+        self.top_idx = np.arange(d.grid.n_y) * d.grid.n_z + (d.grid.n_z - 1)
         self._interior_cache = {}
 
     def _interior(self, bottom_condition):
@@ -139,24 +126,20 @@ class EllipticOperator:
         A and the exact inverse of A_ff on the flat strip for flat_strip_solve.
 
         With c = A and b = 0 the stiffness is A (K_y x M_z) + (1/A) (M_y x K_z)
-        in the 1-D bilinear matrices: the circulant y factors have symbols
-        (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on the
-        free z nodes diagonalizes the z factors.
+        in the 1-D linear-element matrices: the circulant y factors have
+        symbols (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on
+        the free z nodes diagonalizes the z factors.
         """
         if bottom_condition not in self._interior_cache:
-            # local: importing it with the module raises the package's peak RSS
+            # local: only the FE solves need scipy.linalg, so the package
+            # import keeps off it once the stepper's lapack import is lazy
             from scipy.linalg import eigh
             g = self.grid
             lo = 1 if bottom_condition == "dirichlet_zero" else 0
-            mask = np.zeros(g.shape, dtype=bool)
-            mask[:, lo:-1] = True
-            free = np.flatnonzero(mask)
+            free = np.arange(g.n_y * g.n_z).reshape(g.shape)[:, lo:-1].ravel()
             A_ff = self.A[free][:, free].tocsr()
             A_fd = self.A[free][:, self.top_idx].tocsr()
-            K, M = np.zeros((2, g.n_z, g.n_z))
-            for i, w in enumerate(np.diff(g.z_nodes)):
-                K[i:i + 2, i:i + 2] += [[1.0 / w, -1.0 / w], [-1.0 / w, 1.0 / w]]
-                M[i:i + 2, i:i + 2] += [[w / 3.0, w / 6.0], [w / 6.0, w / 3.0]]
+            K, M = linear_element_matrices(g.z_nodes)
             lam, V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
             cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
             ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
@@ -164,24 +147,34 @@ class EllipticOperator:
             self._interior_cache[bottom_condition] = (free, A_ff, A_fd, V, denominator)
         return self._interior_cache[bottom_condition]
 
-    def solve(self, problem: EllipticProblem, tol):
-        """Returns (solution array (n_y, n_z), iterations)."""
+    def solve(self, dirichlet_top, tol, rhs=None, flux_rhs=None,
+              bottom_condition="neumann_zero"):
+        """Solve -div(E grad q) = rhs (+ div F) with q = dirichlet_top at z = 0;
+        returns (solution array (n_y, n_z), iterations).
+
+        rhs is the plain source of -Delta_phi q = rhs (weighted by dz_phi in
+        the weak load); flux_rhs = (F1, F2) is one already in divergence form.
+        """
         if tol <= 0:
             raise ConfigurationError(f"tolerance must be positive, got {tol}")
+        if bottom_condition not in ("neumann_zero", "dirichlet_zero"):
+            raise ConfigurationError(
+                f"bottom condition must be neumann_zero or dirichlet_zero, "
+                f"got {bottom_condition!r}"
+            )
         g = self.grid
-        n = g.n_y * g.n_z
-        load = np.zeros(n)
-        if problem.rhs is not None:
-            load += (
-                np.asarray(problem.rhs, float) * self.metric.dzphi * self.dual
-            ).ravel()
-        if problem.flux_rhs is not None:
-            load += flux_load(g, *problem.flux_rhs)
+        top = _checked("dirichlet_top", dirichlet_top, (g.n_y,))
+        load = np.zeros(g.n_y * g.n_z)
+        if rhs is not None:
+            rhs = _checked("rhs", rhs, g.shape)
+            load += (rhs * self.metric.dzphi * dual_areas(g)).ravel()
+        if flux_rhs is not None:
+            load += flux_load(g, *_checked("flux_rhs", flux_rhs, (2,) + g.shape))
 
-        free, A_ff, A_fd, V, denominator = self._interior(problem.bottom_condition)
-        x = np.zeros(n)
-        x[self.top_idx] = problem.dirichlet_top
-        b_f = load[free] - A_fd @ problem.dirichlet_top
+        free, A_ff, A_fd, V, denominator = self._interior(bottom_condition)
+        x = np.zeros(g.n_y * g.n_z)
+        x[self.top_idx] = top
+        b_f = load[free] - A_fd @ top
         sol_f, iters = _pcg(
             A_ff.__matmul__,
             b_f,
@@ -203,13 +196,6 @@ class EllipticOperator:
         return (self.A @ np.ravel(q_values))[self.top_idx] / self.grid.dy
 
 
-def solve_elliptic(problem: EllipticProblem, tol) -> Field:
-    """Solve one EllipticProblem to the given relative tolerance."""
-    op = EllipticOperator(problem.metric.grid, problem.metric)
-    values, _ = op.solve(problem, tol)
-    return Field(op.grid, values)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-Neumann operator
 
@@ -220,10 +206,8 @@ def dirichlet_neumann(d, f_b, tol=1e-10):
     the conormal flux of that problem at z = 0 is exactly (grad f)^b . N.
     Bottom closure is homogeneous Neumann.
     """
-    metric = MetricMatrices(d)
-    op = EllipticOperator(d.grid, metric)
-    problem = EllipticProblem(metric=metric, dirichlet_top=np.asarray(f_b, float))
-    q, _ = op.solve(problem, tol)
+    op = EllipticOperator(d)
+    q, _ = op.solve(f_b, tol)
     return op.boundary_flux(q)
 
 
@@ -289,11 +273,10 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
     """
     if eps < 0:
         raise ConfigurationError(f"viscosity must be >= 0, got {eps}")
-    metric = MetricMatrices(d)
-    op = EllipticOperator(d.grid, metric)
+    op = EllipticOperator(d)
     grid = d.grid
     adv = advection_term(v, d)
-    flux_E = (metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+    flux_E = (op.metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
     problems = (
         (g * d.h.h_values, flux_E),
         (viscous_boundary_trace(v, d, eps) if eps > 0 else None, None),
@@ -304,9 +287,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
         if top is None:
             parts.append(Field(grid, np.zeros(grid.shape)))
             continue
-        q, its = op.solve(
-            EllipticProblem(metric=metric, dirichlet_top=top, flux_rhs=flux), tol
-        )
+        q, its = op.solve(top, tol, flux_rhs=flux)
         parts.append(Field(grid, q))
         iterations += its
     return PressureSplit(*parts, iterations=iterations)
@@ -318,17 +299,9 @@ def qE_inner_split(v: Field, d, g, tol=1e-10):
     The source uses the solenoidal cancellation div(v . grad v) =
     grad v : (grad v)^T, assembled as a plain right-hand side.
     """
-    metric = MetricMatrices(d)
-    op = EllipticOperator(d.grid, metric)
-    qE1, _ = op.solve(
-        EllipticProblem(metric=metric, dirichlet_top=g * d.h.h_values), tol
-    )
+    op = EllipticOperator(d)
+    qE1, _ = op.solve(g * d.h.h_values, tol)
     j1, j3 = jacobian_phi(v.values, d)
     source = j1[0] ** 2 + 2.0 * j1[1] * j3[0] + j3[1] ** 2
-    qE2, _ = op.solve(
-        EllipticProblem(
-            metric=metric, dirichlet_top=np.zeros(d.grid.n_y), rhs=source
-        ),
-        tol,
-    )
+    qE2, _ = op.solve(np.zeros(d.grid.n_y), tol, rhs=source)
     return Field(d.grid, qE1), Field(d.grid, qE2)

@@ -10,8 +10,10 @@ the two routes agree to rounding, which is the primary correctness oracle
 for this module.
 
 The divergence-form Laplacian (1/c) div(E grad .) is assembled as a symmetric
-bilinear-element stiffness matrix with cell-averaged E; the elliptic solves
-and the weak-symmetry checks share that single assembly.
+bilinear-element stiffness matrix with cell-averaged E, each cell's block a
+sum of Kronecker products of the 1-D linear-element matrices; the elliptic
+solves, their flat-strip preconditioner and the weak-symmetry checks read
+that one definition of the element.
 """
 
 import numpy as np
@@ -145,23 +147,24 @@ class MetricMatrices:
 
 # ---------------------------------------------------------------------------
 # Symmetric divergence-form assembly (bilinear elements, cell-averaged E)
+#
+# A cell's bilinear basis is the tensor product of two 1-D linear elements;
+# corner a = 2 * (z index) + (y index) orders the corners (sw, se, nw, ne).
+# On the unit element, _K1 = int phi_i' phi_k', _M1 = int phi_i phi_k and
+# _C1 = int phi_i' phi_k, so every cell integral is a Kronecker product.
 
-_GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-_CORNER_SIGNS = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]], dtype=float)
+_K1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_M1 = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+_C1 = np.array([[-0.5, -0.5], [0.5, 0.5]])
 
 
-def _reference_gradients():
-    """Shape-function gradients at the 2x2 Gauss points, shape (4 pts, 4 nodes, 2)."""
-    pts = [(x, z) for z in _GAUSS for x in _GAUSS]
-    out = np.zeros((4, 4, 2))
-    for gi, (x, z) in enumerate(pts):
-        for a in range(4):
-            sx, sz = _CORNER_SIGNS[a]
-            out[gi, a, 0] = 0.25 * sx * (1.0 + sz * z)
-            out[gi, a, 1] = 0.25 * sz * (1.0 + sx * x)
-    return out
-
-_REF_GRAD = _reference_gradients()
+def linear_element_matrices(nodes):
+    """Stiffness K and mass M, (n, n) each, of 1-D linear elements on n nodes."""
+    K, M = np.zeros((2, len(nodes), len(nodes)))
+    for i, w in enumerate(np.diff(nodes)):
+        K[i:i + 2, i:i + 2] += _K1 / w
+        M[i:i + 2, i:i + 2] += _M1 * w
+    return K, M
 
 
 def _cell_average(nodal):
@@ -171,26 +174,10 @@ def _cell_average(nodal):
 
 
 def _cell_node_indices(grid):
-    ny, nz = grid.n_y, grid.n_z
-    j = np.arange(ny)[:, None]
-    i = np.arange(nz - 1)[None, :]
-    jp = (j + 1) % ny
-    sw = j * nz + i
-    se = jp * nz + i
-    nw = j * nz + i + 1
-    ne = jp * nz + i + 1
-    return np.stack([sw, se, nw, ne], axis=-1)  # (ny, nz-1, 4)
-
-
-def _cell_gradients(grid):
-    """Physical shape-function gradients at the Gauss points, gy (4, 4) and
-    gz (nz-1, 4, 4), and the cell Jacobian jac (nz-1,): the reference
-    gradients scaled by (2/dy, 2/dz_i)."""
-    dy = grid.dy
-    dz = np.diff(grid.z_nodes)
-    gy = _REF_GRAD[:, :, 0] * 2.0 / dy
-    gz = _REF_GRAD[:, :, 1][None, :, :] * (2.0 / dz)[:, None, None]
-    return gy, gz, dy * dz / 4.0
+    """Node indices of each cell's corners (sw, se, nw, ne), (n_y, n_z - 1, 4)."""
+    sw = np.arange(grid.n_y)[:, None] * grid.n_z + np.arange(grid.n_z - 1)
+    se = np.roll(sw, -1, axis=0)
+    return np.stack([sw, se, sw + 1, se + 1], axis=-1)
 
 
 def divergence_form_matrix(grid, E11, E12, E22):
@@ -199,19 +186,14 @@ def divergence_form_matrix(grid, E11, E12, E22):
     Symmetric by construction; rows/columns ordered by node index j*n_z + i.
     """
     ny, nz = grid.n_y, grid.n_z
-    e11 = _cell_average(E11)
-    e12 = _cell_average(E12)
-    e22 = _cell_average(E22)
-    gy, gz, jac = _cell_gradients(grid)
-    a_yy = np.einsum("ga,gb->ab", gy, gy)          # (4, 4)
-    a_yz = np.einsum("ga,igb->iab", gy, gz)        # (nz-1, 4, 4)
-    a_zy = np.transpose(a_yz, (0, 2, 1))
-    a_zz = np.einsum("iga,igb->iab", gz, gz)       # (nz-1, 4, 4)
-
+    dy, dz = grid.dy, np.diff(grid.z_nodes)[:, None, None]
+    k_yy = dz * np.kron(_M1, _K1 / dy)   # int d_y N_a d_y N_b, (nz-1, 4, 4)
+    k_zz = np.kron(_K1, dy * _M1) / dz   # int d_z N_a d_z N_b
+    k_yz = np.kron(_C1.T, _C1)           # int d_y N_a d_z N_b, every cell alike
     k_cells = (
-        e11[:, :, None, None] * (jac[None, :, None, None] * a_yy[None, None])
-        + e12[:, :, None, None] * (jac[:, None, None] * (a_yz + a_zy))[None]
-        + e22[:, :, None, None] * (jac[:, None, None] * a_zz)[None]
+        _cell_average(E11)[:, :, None, None] * k_yy
+        + _cell_average(E12)[:, :, None, None] * (k_yz + k_yz.T)
+        + _cell_average(E22)[:, :, None, None] * k_zz
     )  # (ny, nz-1, 4, 4)
 
     idx = _cell_node_indices(grid)                 # (ny, nz-1, 4)
@@ -232,14 +214,15 @@ def dual_areas(grid):
 def flux_load(grid, F1, F2):
     """Weak load of a div F right-hand side: -integral(F . grad N_a).
 
-    F is taken cellwise (corner average), matching the stiffness quadrature.
+    F is taken cellwise (corner average), matching the stiffness quadrature;
+    the integral of d_i N_a over a cell is the row sum of int d_i N_a N_b.
     """
     f1 = _cell_average(np.asarray(F1, float))
     f2 = _cell_average(np.asarray(F2, float))
-    gy, gz, jac = _cell_gradients(grid)
-    int_gy = jac[:, None] * gy.sum(axis=0)[None, :]        # (nz-1, 4)
-    int_gz = jac[:, None] * gz.sum(axis=1)                  # (nz-1, 4)
-    contrib = -(f1[:, :, None] * int_gy[None] + f2[:, :, None] * int_gz[None])
+    dz = np.diff(grid.z_nodes)[:, None]
+    int_gy = dz * np.kron(_M1, _C1).sum(axis=1)        # (nz-1, 4)
+    int_gz = grid.dy * np.kron(_C1, _M1).sum(axis=1)   # (4,)
+    contrib = -(f1[:, :, None] * int_gy[None] + f2[:, :, None] * int_gz)
     load = np.zeros(grid.n_y * grid.n_z)
     np.add.at(load, _cell_node_indices(grid).ravel(), contrib.ravel())
     return load

@@ -22,11 +22,10 @@ from .grid import (
 
 @dataclass(frozen=True, eq=False)
 class SurfaceState:
-    """Surface elevation samples and their discrete Fourier coefficients."""
+    """Surface elevation samples; h_hat gives their rfft on demand."""
 
     grid: Grid
     h_values: np.ndarray = field(repr=False)
-    h_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.h_values, dtype=float)
@@ -37,7 +36,11 @@ class SurfaceState:
         if not np.all(np.isfinite(h)):
             raise ConfigurationError("surface contains non-finite values")
         object.__setattr__(self, "h_values", h)
-        object.__setattr__(self, "h_hat", np.fft.rfft(h))
+
+    @property
+    def h_hat(self):
+        """rfft of h, not cached, so that every stored state keeps only h."""
+        return np.fft.rfft(self.h_values)
 
     def slope(self):
         """d_y h, spectrally."""

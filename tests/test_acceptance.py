@@ -20,11 +20,9 @@ from wavetank.conormal import (
 from wavetank.diagnostics import epsilon_sweep, korn_audit
 from wavetank.elliptic import (
     EllipticOperator,
-    EllipticProblem,
     decompose_pressure,
     dirichlet_neumann,
     dn_quadratic_form,
-    solve_elliptic,
 )
 from wavetank.evolution import make_flow_state, run
 from wavetank.grid import (
@@ -35,7 +33,6 @@ from wavetank.grid import (
     vertical_derivative_values,
 )
 from wavetank.operators import (
-    MetricMatrices,
     commutator_residual,
     div_phi,
     div_phi_matrix,
@@ -140,16 +137,14 @@ def test_criterion_02_elliptic_solver_order():
     for n in (32, 64, 128):
         g = make_grid(n, n, 2.0 * np.pi, H, clustering="uniform")
         d = analytic_metric(g, delta=delta)
-        mm = MetricMatrices(d)
         Y, Z = g.y_nodes[:, None], g.z_nodes[None, :]
-        prob = EllipticProblem(
-            metric=mm,
-            dirichlet_top=q_fn(Y, Z)[:, -1],
+        q, _ = EllipticOperator(d).solve(
+            q_fn(Y, Z)[:, -1],
+            1e-11,
             rhs=rhs_fn(Y, Z) * np.ones(g.shape),
             bottom_condition="dirichlet_zero",
         )
-        q = solve_elliptic(prob, tol=1e-11)
-        errors.append(l2_norm(g, q.values - q_fn(Y, Z) * np.ones(g.shape)))
+        errors.append(l2_norm(g, q - q_fn(Y, Z) * np.ones(g.shape)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
 
     # superposition and maximum principle on a random corpus
@@ -159,15 +154,12 @@ def test_criterion_02_elliptic_solver_order():
     super_ok, max_ok = True, True
     for seed in range(10):
         d = random_valid_metric(g, np.random.default_rng(seed))
-        mm = MetricMatrices(d)
-        op = EllipticOperator(g, mm)
+        op = EllipticOperator(d)
         f1 = rng.standard_normal(g.n_y)
         f2 = rng.standard_normal(g.n_y)
-        q1 = op.solve(EllipticProblem(metric=mm, dirichlet_top=f1), tol)[0]
-        q2 = op.solve(EllipticProblem(metric=mm, dirichlet_top=f2), tol)[0]
-        q12 = op.solve(
-            EllipticProblem(metric=mm, dirichlet_top=2.0 * f1 - 0.5 * f2), tol
-        )[0]
+        q1 = op.solve(f1, tol)[0]
+        q2 = op.solve(f2, tol)[0]
+        q12 = op.solve(2.0 * f1 - 0.5 * f2, tol)[0]
         if np.max(np.abs(q12 - 2.0 * q1 + 0.5 * q2)) > 100 * tol:
             super_ok = False
         if np.max(np.abs(q1)) > np.max(np.abs(f1)) + 1e-8:
@@ -191,8 +183,7 @@ def test_criterion_03_pressure_decomposition():
         d = random_valid_metric(g, r, amplitude=0.05)
         v = smooth_vector(g, r, scale=0.1)
         split = decompose_pressure(v, d, eps=1e-2, g=1.0, sigma=1.0, tol=tol)
-        mm = MetricMatrices(d)
-        op = EllipticOperator(g, mm)
+        op = EllipticOperator(d)
         from wavetank.elliptic import (
             advection_term,
             capillary_trace,
@@ -200,7 +191,7 @@ def test_criterion_03_pressure_decomposition():
         )
 
         adv = advection_term(v, d)
-        c = mm.dzphi
+        c = op.metric.dzphi
         b = d.grad_y_phi.values
         combined = (
             d.h.h_values
@@ -208,12 +199,7 @@ def test_criterion_03_pressure_decomposition():
             + capillary_trace(d.h, 1.0)
         )
         direct = op.solve(
-            EllipticProblem(
-                metric=mm,
-                dirichlet_top=combined,
-                flux_rhs=(c * adv[0], -b * adv[0] + adv[1]),
-            ),
-            tol,
+            combined, tol, flux_rhs=(c * adv[0], -b * adv[0] + adv[1])
         )[0]
         gap = l2_norm(g, split.q_total.values - direct)
         worst = max(worst, gap / max(l2_norm(g, direct), 1.0))

@@ -5,13 +5,11 @@ import sympy
 
 from wavetank.elliptic import (
     EllipticOperator,
-    EllipticProblem,
     _pcg,
     decompose_pressure,
     dirichlet_neumann,
     dn_quadratic_form,
     qE_inner_split,
-    solve_elliptic,
 )
 from wavetank.errors import (
     ConfigurationError,
@@ -19,8 +17,9 @@ from wavetank.errors import (
     SolverFailureError,
 )
 from wavetank.grid import Field, l2_norm, make_grid
-from wavetank.operators import MetricMatrices, jacobian_phi
+from wavetank.operators import jacobian_phi
 from wavetank.surface import (
+    Diffeomorphism,
     boundary_sobolev_norm,
     build_diffeomorphism,
     random_surface,
@@ -41,28 +40,22 @@ class TestSolveElliptic:
         for n in (24, 48, 96):
             g = make_grid(n, n, 2.0 * np.pi, 2.0, clustering="uniform")
             d = flat_diffeo(g)
-            mm = MetricMatrices(d)
             k = 2
-            prob = EllipticProblem(
-                metric=mm,
-                dirichlet_top=np.cos(k * g.y_nodes),
-                bottom_condition="dirichlet_zero",
+            q, _ = EllipticOperator(d).solve(
+                np.cos(k * g.y_nodes), 1e-11, bottom_condition="dirichlet_zero"
             )
-            q = solve_elliptic(prob, tol=1e-11)
             exact = (
                 np.cos(k * g.y_nodes)[:, None]
                 * np.sinh(k * (g.z_nodes + g.depth_H))[None, :]
                 / np.sinh(k * g.depth_H)
             )
-            errors.append(np.max(np.abs(q.values - exact)))
+            errors.append(np.max(np.abs(q - exact)))
         assert np.log2(errors[0] / errors[1]) > 1.8
         assert np.log2(errors[1] / errors[2]) > 1.8
 
     def test_zero_data_zero_solution(self, grid, flat_metric):
-        mm = MetricMatrices(flat_metric)
-        prob = EllipticProblem(metric=mm, dirichlet_top=np.zeros(grid.n_y))
-        q = solve_elliptic(prob, tol=1e-11)
-        assert np.max(np.abs(q.values)) < 1e-12
+        q, _ = EllipticOperator(flat_metric).solve(np.zeros(grid.n_y), 1e-11)
+        assert np.max(np.abs(q)) < 1e-12
 
     def test_manufactured_curved_metric_order(self):
         # q* with q*(-H) = 0 and arbitrary top trace; rhs from sympy
@@ -84,32 +77,26 @@ class TestSolveElliptic:
         for n in (32, 64, 128):
             g = make_grid(n, n, 2.0 * np.pi, H, clustering="uniform")
             d = analytic_metric(g, delta=delta)
-            mm = MetricMatrices(d)
             Y, Z = g.y_nodes[:, None], g.z_nodes[None, :]
-            prob = EllipticProblem(
-                metric=mm,
-                dirichlet_top=q_fn(Y, Z)[:, -1],
+            q, _ = EllipticOperator(d).solve(
+                q_fn(Y, Z)[:, -1],
+                1e-11,
                 rhs=rhs_fn(Y, Z) * np.ones(g.shape),
                 bottom_condition="dirichlet_zero",
             )
-            q = solve_elliptic(prob, tol=1e-11)
-            errors.append(l2_norm(g, q.values - q_fn(Y, Z) * np.ones(g.shape)))
+            errors.append(l2_norm(g, q - q_fn(Y, Z) * np.ones(g.shape)))
         assert np.log2(errors[0] / errors[1]) > 1.8
         assert np.log2(errors[1] / errors[2]) > 1.8
 
     def test_superposition(self, grid, rng):
-        d = random_valid_metric(grid, rng)
-        mm = MetricMatrices(d)
-        op = EllipticOperator(grid, mm)
+        op = EllipticOperator(random_valid_metric(grid, rng))
         tol = 1e-11
         f1 = np.cos(grid.y_nodes)
         f2 = np.sin(2 * grid.y_nodes)
         a, b = 2.0, -0.7
-        q1, _ = op.solve(EllipticProblem(metric=mm, dirichlet_top=f1), tol)
-        q2, _ = op.solve(EllipticProblem(metric=mm, dirichlet_top=f2), tol)
-        q12, _ = op.solve(
-            EllipticProblem(metric=mm, dirichlet_top=a * f1 + b * f2), tol
-        )
+        q1, _ = op.solve(f1, tol)
+        q2, _ = op.solve(f2, tol)
+        q12, _ = op.solve(a * f1 + b * f2, tol)
         gap = np.max(np.abs(q12 - a * q1 - b * q2))
         assert gap < 50.0 * tol
 
@@ -117,45 +104,48 @@ class TestSolveElliptic:
         g = make_grid(32, 40, 2.0 * np.pi, 2.0 * np.pi)
         for seed in range(8):
             d = random_valid_metric(g, np.random.default_rng(seed), amplitude=0.08)
-            mm = MetricMatrices(d)
             data = random_surface(g, np.random.default_rng(seed + 100),
                                   amplitude=1.0).h_values
-            prob = EllipticProblem(metric=mm, dirichlet_top=data)
-            q = solve_elliptic(prob, tol=1e-11)
-            assert np.max(np.abs(q.values)) <= np.max(np.abs(data)) + 1e-8
+            q, _ = EllipticOperator(d).solve(data, 1e-11)
+            assert np.max(np.abs(q)) <= np.max(np.abs(data)) + 1e-8
 
-    def test_indefinite_metric_rejected(self, grid, flat_metric):
-        mm = MetricMatrices(flat_metric)
-        mm.E22 = -np.ones(grid.shape)
+    def test_indefinite_metric_rejected(self, grid):
+        # dz_phi < 0 everywhere: E is negative definite
+        c = -np.ones(grid.shape)
+        d = Diffeomorphism(
+            grid=grid, A=1.0, h=surface_from_values(grid, np.zeros(grid.n_y)),
+            dzphi=Field(grid, c), grad_y_phi=Field(grid, np.zeros(grid.shape)),
+            c0_observed=-1.0,
+        )
         with pytest.raises(MetricValidityError):
-            EllipticProblem(metric=mm, dirichlet_top=np.zeros(grid.n_y))
+            EllipticOperator(d)
 
     def test_bad_tolerance_or_bottom(self, grid, flat_metric):
-        mm = MetricMatrices(flat_metric)
+        op = EllipticOperator(flat_metric)
+        top = np.zeros(grid.n_y)
         with pytest.raises(ConfigurationError):
-            EllipticProblem(
-                metric=mm,
-                dirichlet_top=np.zeros(grid.n_y),
-                bottom_condition="robin",
-            )
-        prob = EllipticProblem(metric=mm, dirichlet_top=np.zeros(grid.n_y))
-        with pytest.raises(ConfigurationError):
-            solve_elliptic(prob, tol=0.0)
-        # the operator's own solve validates alike
-        op = EllipticOperator(grid, mm)
+            op.solve(top, 1e-10, bottom_condition="robin")
         for tol in (0.0, -1e-10):
             with pytest.raises(ConfigurationError):
-                op.solve(prob, tol)
+                op.solve(top, tol)
 
     def test_non_finite_flux_rhs_rejected(self, grid, flat_metric):
-        mm = MetricMatrices(flat_metric)
+        op = EllipticOperator(flat_metric)
         F = np.zeros(grid.shape)
         F[3, 5] = np.nan
         for flux in ((F, np.zeros(grid.shape)), (np.zeros(grid.shape), F)):
             with pytest.raises(ConfigurationError):
-                EllipticProblem(
-                    metric=mm, dirichlet_top=np.zeros(grid.n_y), flux_rhs=flux
-                )
+                op.solve(np.zeros(grid.n_y), 1e-10, flux_rhs=flux)
+
+    @pytest.mark.parametrize("name", ["rhs", "dirichlet_top", "flux_rhs"])
+    def test_misshapen_data_rejected(self, name):
+        # a length-n_y rhs would broadcast as a z-profile on a square grid
+        g = make_grid(16, 16, 2.0 * np.pi, 2.0 * np.pi)
+        bad = {"rhs": np.ones(16), "dirichlet_top": np.ones(17),
+               "flux_rhs": (np.ones(16), np.ones(16))}
+        data = {"dirichlet_top": np.zeros(g.n_y), name: bad[name]}
+        with pytest.raises(ConfigurationError, match=name):
+            EllipticOperator(flat_diffeo(g)).solve(tol=1e-10, **data)
 
     def test_iteration_budget_enforced(self):
         # a hard SPD system and a tiny budget must fail loudly
@@ -185,8 +175,7 @@ class TestFlatStripPreconditioner:
         d = build_diffeomorphism(
             surface_from_values(g, np.zeros(g.n_y)), A=A, c0=0.5
         )
-        mm = MetricMatrices(d)
-        op = EllipticOperator(g, mm)
+        op = EllipticOperator(d)
         problems = (
             dict(dirichlet_top=rng.standard_normal(g.n_y)),
             dict(dirichlet_top=np.zeros(g.n_y), rhs=rng.standard_normal(g.shape)),
@@ -196,9 +185,7 @@ class TestFlatStripPreconditioner:
             ),
         )
         for data in problems:
-            _, iters = op.solve(
-                EllipticProblem(metric=mm, bottom_condition=bottom, **data), 1e-10
-            )
+            _, iters = op.solve(tol=1e-10, bottom_condition=bottom, **data)
             assert iters == 1
 
     @pytest.mark.parametrize("amplitude", [0.05, 0.2])
@@ -210,11 +197,9 @@ class TestFlatStripPreconditioner:
         for n_y, n_z in ((32, 40), (64, 80), (128, 160)):
             g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
             d = random_valid_metric(g, np.random.default_rng(4), amplitude=amplitude)
-            mm = MetricMatrices(d)
             top = np.cos(g.y_nodes) + 0.5 * np.sin(5.0 * g.y_nodes)
-            _, iters = EllipticOperator(g, mm).solve(
-                EllipticProblem(metric=mm, dirichlet_top=top, bottom_condition=bottom),
-                1e-10,
+            _, iters = EllipticOperator(d).solve(
+                top, 1e-10, bottom_condition=bottom
             )
             counts.append(iters)
         assert max(counts) <= 12, counts
@@ -326,19 +311,16 @@ class TestPressureDecomposition:
         v = smooth_vector(grid, rng, scale=0.1)
         eps, grav, sigma, tol = 1e-2, 1.3, 0.7, 1e-11
         split = decompose_pressure(v, d, eps=eps, g=grav, sigma=sigma, tol=tol)
-        mm = MetricMatrices(d)
-        op = EllipticOperator(grid, mm)
+        op = EllipticOperator(d)
         adv = advection_term(v, d)
-        flux = (mm.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+        flux = (op.metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
         expected, total = [], 0
         for top, rhs in (
             (grav * d.h.h_values, flux),
             (viscous_boundary_trace(v, d, eps), None),
             (capillary_trace(d.h, sigma), None),
         ):
-            q, its = op.solve(
-                EllipticProblem(metric=mm, dirichlet_top=top, flux_rhs=rhs), tol
-            )
+            q, its = op.solve(top, tol, flux_rhs=rhs)
             expected.append(q)
             total += its
         for part, q in zip((split.qE, split.qNS, split.qS), expected):
@@ -353,8 +335,7 @@ class TestPressureDecomposition:
             d = random_valid_metric(grid, r, amplitude=0.05)
             v = smooth_vector(grid, r, scale=0.1)
             split = decompose_pressure(v, d, eps=1e-2, g=1.0, sigma=1.0, tol=tol)
-            mm = MetricMatrices(d)
-            op = EllipticOperator(grid, mm)
+            op = EllipticOperator(d)
             from wavetank.elliptic import (
                 advection_term,
                 capillary_trace,
@@ -362,7 +343,7 @@ class TestPressureDecomposition:
             )
 
             adv = advection_term(v, d)
-            c = mm.dzphi
+            c = op.metric.dzphi
             b = d.grad_y_phi.values
             combined_top = (
                 1.0 * d.h.h_values
@@ -370,12 +351,7 @@ class TestPressureDecomposition:
                 + capillary_trace(d.h, 1.0)
             )
             q_direct, _ = op.solve(
-                EllipticProblem(
-                    metric=mm,
-                    dirichlet_top=combined_top,
-                    flux_rhs=(c * adv[0], -b * adv[0] + adv[1]),
-                ),
-                tol,
+                combined_top, tol, flux_rhs=(c * adv[0], -b * adv[0] + adv[1])
             )
             gap = l2_norm(grid, split.q_total.values - q_direct)
             scale = max(l2_norm(grid, q_direct), 1.0)
@@ -425,18 +401,12 @@ class TestQEInnerSplit:
         d = random_valid_metric(grid, rng, amplitude=0.05)
         v = smooth_vector(grid, rng, scale=0.1)
         qE1, qE2 = qE_inner_split(v, d, g=1.0, tol=tol)
-        mm = MetricMatrices(d)
-        op = EllipticOperator(grid, mm)
+        op = EllipticOperator(d)
         j11 = jacobian_phi(v.values[0], d)[0]
         j12 = jacobian_phi(v.values[1], d)[0]
         j21 = jacobian_phi(v.values[0], d)[1]
         j22 = jacobian_phi(v.values[1], d)[1]
         source = j11**2 + 2.0 * j12 * j21 + j22**2
-        q_direct, _ = op.solve(
-            EllipticProblem(
-                metric=mm, dirichlet_top=1.0 * d.h.h_values, rhs=source
-            ),
-            tol,
-        )
+        q_direct, _ = op.solve(1.0 * d.h.h_values, tol, rhs=source)
         gap = l2_norm(grid, qE1.values + qE2.values - q_direct)
         assert gap < 10.0 * tol * max(l2_norm(grid, q_direct), 1.0)

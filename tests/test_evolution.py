@@ -275,9 +275,9 @@ class TestStepInvariants:
 
     def test_step_runs_no_elliptic_solve(self, wave_grid, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("advance ran an FE elliptic solve")
+            raise AssertionError("advance built an FE elliptic operator")
 
-        monkeypatch.setattr("wavetank.elliptic.EllipticOperator.solve", refuse)
+        monkeypatch.setattr("wavetank.elliptic.EllipticOperator.__init__", refuse)
         for eps in (0.0, 1e-3):
             new, _ = advance(standing_wave_state(wave_grid, a=5e-3, eps=eps), 0.03)
             assert np.all(np.isfinite(new.v.values))
@@ -660,6 +660,8 @@ class TestStoredMetric:
                              ("sweep", members)):
             held = sum("d" in vars(s) for s in states)
             assert held == 0, f"{held} of {len(states)} {name} states hold a metric"
+            for s in states:
+                assert set(vars(s.h)) == {"grid", "h_values"}, name
 
     def test_metric_builds_per_run(self, monkeypatch, tmp_path):
         # fresh: one build for the starting state, two per step; resumed:
@@ -688,8 +690,8 @@ class TestStoredMetric:
 
     def test_memory_per_stored_output_is_the_state(self):
         # beyond v and h, one output keeps about 1.2 KB of objects (array
-        # headers, h's rfft, the state, surface, field and report objects
-        # and their floats); a kept metric would add 2 n_y n_z floats
+        # headers, the state, surface, field and report objects and their
+        # floats); a kept metric would add 2 n_y n_z floats
         g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
         st = standing_wave_state(g, a=1e-2, eps=1e-3)
         run(st, t_final=0.09, dt=0.03)  # fills the solver caches

@@ -15,6 +15,8 @@ from wavetank.operators import (
     commutator_residual,
     div_phi,
     div_phi_matrix,
+    divergence_form_matrix,
+    flux_load,
     grad_phi,
     grad_phi_matrix,
     jacobian_phi,
@@ -279,6 +281,54 @@ class TestLaplacian:
             errors.append(np.max(np.abs(lap.values[:, band] - exact[:, band])))
         order = np.log2(errors[0] / errors[1])
         assert order > 1.6
+
+
+class TestKroneckerAssembly:
+    """The cell integrals built from 1-D element matrices against a 2x2
+    Gauss-point assembly of the bilinear shape-function gradients, which
+    integrates every cell term exactly."""
+
+    @staticmethod
+    def gauss_reference(grid, E11, E12, E22, F1, F2):
+        _GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+        # corners sw, se, nw, ne as (y sign, z sign)
+        _CORNER_SIGNS = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]], dtype=float)
+        pts = [(x, z) for z in _GAUSS for x in _GAUSS]
+        ref_y = np.array([[0.25 * sy * (1.0 + sz * z) for sy, sz in _CORNER_SIGNS]
+                          for x, z in pts])
+        ref_z = np.array([[0.25 * sz * (1.0 + sy * x) for sy, sz in _CORNER_SIGNS]
+                          for x, z in pts])
+        ny, nz = grid.n_y, grid.n_z
+        A = np.zeros((ny * nz, ny * nz))
+        load = np.zeros(ny * nz)
+        for j in range(ny):
+            jp = (j + 1) % ny
+            for i in range(nz - 1):
+                dz = grid.z_nodes[i + 1] - grid.z_nodes[i]
+                jac = grid.dy * dz / 4.0
+                nodes = [j * nz + i, jp * nz + i, j * nz + i + 1, jp * nz + i + 1]
+
+                def mean(f):
+                    return 0.25 * (f[j, i] + f[jp, i] + f[j, i + 1] + f[jp, i + 1])
+
+                e11, e12, e22 = mean(E11), mean(E12), mean(E22)
+                for gy, gz in zip(ref_y * 2.0 / grid.dy, ref_z * 2.0 / dz):
+                    A[np.ix_(nodes, nodes)] += jac * (
+                        e11 * np.outer(gy, gy)
+                        + e12 * (np.outer(gy, gz) + np.outer(gz, gy))
+                        + e22 * np.outer(gz, gz)
+                    )
+                    load[nodes] -= jac * (mean(F1) * gy + mean(F2) * gz)
+        return A, load
+
+    def test_matches_gauss_point_assembly(self, grid, curved_metric, rng):
+        mm = MetricMatrices(curved_metric)
+        F1, F2 = rng.standard_normal((2,) + grid.shape)
+        A_ref, load_ref = self.gauss_reference(grid, mm.E11, mm.E12, mm.E22, F1, F2)
+        A = divergence_form_matrix(grid, mm.E11, mm.E12, mm.E22).toarray()
+        load = flux_load(grid, F1, F2)
+        assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
+        assert np.max(np.abs(load - load_ref)) <= 1e-14 * np.max(np.abs(load_ref))
 
 
 class TestCommutator:
