@@ -75,6 +75,11 @@ class SimulationConfig:
             raise ConfigurationError("dt must be positive or auto (key 'dt')")
         if self.slope_A is not None and self.slope_A <= 0:
             raise ConfigurationError("slope_A must be positive or auto (key 'slope_A')")
+        if not 1 <= self.mode_k < self.n_y / 2:
+            raise ConfigurationError(
+                f"mode_k must be >= 1 and < n_y / 2 = {self.n_y / 2:g}, "
+                f"got {self.mode_k} (key 'mode_k')"
+            )
         if self.output_every < 1:
             raise ConfigurationError("output_every must be >= 1 (key 'output_every')")
         if self.snapshot_every < 0:

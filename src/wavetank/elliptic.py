@@ -131,8 +131,8 @@ class EllipticOperator:
         the free z nodes diagonalizes the z factors.
         """
         if bottom_condition not in self._interior_cache:
-            # local: only the FE solves need scipy.linalg, so the package
-            # import keeps off it once the stepper's lapack import is lazy
+            # local: only the FE solves use eigh; evolution's lapack import
+            # stays at module level, as lazily (70-90 ms) it lands in a timed step
             from scipy.linalg import eigh
             g = self.grid
             lo = 1 if bottom_condition == "dirichlet_zero" else 0

@@ -48,7 +48,7 @@ from .surface import (
     cutoff_lift,
     surface_from_values,
 )
-from .operators import strain_phi
+from .operators import dual_areas, strain_phi
 from .elliptic import CG_BUDGET, _pcg, capillary_trace, surface_traction_parts
 from .elliptic import flat_strip_solve
 # not called by the stepper; the benchmark's tracer wraps it at this name
@@ -76,25 +76,6 @@ def _block_diagonal(X, n_blocks):
             sp.diags(diagonals[::-1], -offsets[::-1], shape=(n, n), format="dia"))
 
 
-def _band_width(X, shift):
-    """Half-bandwidth of block X in a matrix that interleaves two unknowns
-    per node, where the entry X[a, b] lies 2 (b - a) + shift off the
-    diagonal."""
-    rows, cols = np.nonzero(X)
-    return int(np.max(np.abs(2 * (cols - rows) + shift), initial=0))
-
-
-def _place_block(ab, X, row, col):
-    """Write block X, whose entry X[a, b] sits at row 2 a + row and column
-    2 b + col of an interleaved matrix M, into the upper band storage ab of
-    M, shaped (kd + 1, n_z, 2): ab[kd + i - j, j] = M[i, j] for i <= j."""
-    kd = ab.shape[0] - 1
-    for e in range(X.shape[0]):
-        off = 2 * e + col - row
-        if 0 <= off <= kd:
-            ab[kd - off, e:, col] = np.diagonal(X, e)
-
-
 class SolverOps:
     """Derivative matrices on flattened (n_y * n_z) vectors, stored by
     diagonal and built from their 1-D stencils (dz_sbp_t and dz_3pt_t are
@@ -108,7 +89,9 @@ class SolverOps:
 
     On the flat strip (c = A, b = 0) dy_c is circulant, so after an rfft in
     y both solver operators split into one vertical system per mode k, with
-    sigma_k = sin(2 pi k / n_y) / dy the symbol of dy_c.
+    sigma_k = sin(2 pi k / n_y) / dy the symbol of dy_c: the Gram systems
+    are diagonalized by one z eigenbasis, and the viscous ones, assembled
+    densely with (u_j, w_j) interleaved, are banded and factored together.
     """
 
     def __init__(self, grid):
@@ -134,7 +117,7 @@ class SolverOps:
         interior[self.bottom_idx] = False
         interior[self.top_idx] = False
         self.interior_mask = interior
-        self.weights = (grid.dy * np.tile(grid.quadrature_weights_z, ny)).ravel()
+        self.weights = dual_areas(grid).ravel()
 
         # sigma_k = 0 exactly at the Nyquist mode, which dy_c annihilates
         sigma = np.sin(2.0 * np.pi * np.arange(ny // 2 + 1) / ny) / dy
@@ -165,49 +148,43 @@ class SolverOps:
         V, denominator = self._gram_vectors, self._gram_denominator[1]
         return flat_strip_solve(r, V, denominator).ravel()
 
-    def _viscous_bands(self, A, tau):
-        """Complex banded Cholesky factor of the flat viscous operator, all
-        rfft modes in one band matrix: mode k's block, with unknowns
-        interleaved as (u_j, w_j), is
+    def flat_viscous_solve(self, r, A, tau):
+        """Exact inverse of the pinned flat-metric viscous operator: one
+        banded solve over all rfft modes in y.  Mode k's block, with unknowns
+        interleaved as (u_j, w_j) and bottom rows pinned, is
 
-            W + tau [[sigma^2 W + L3 / 2, i sigma D3^T W / 2],
-                     [h.c.,               L3 + sigma^2 W / 2]],
+            R + i sigma_k J + sigma_k^2 diag(m),  m = tau [W, W / 2],
+            R = W + tau [[L3 / 2, 0], [0, L3]],   J = tau / 2 [[0, D3^T W], [-W D3, 0]],
 
-        W = A dy W_z, D3 = dz_3pt / A, L3 = D3^T W D3, bottom rows pinned.
-        The blocks follow one another on the diagonal, so the band entries
-        between them are zero and one factorization factors every mode."""
-        key = (A, tau)
-        if self._viscous_factor is None or self._viscous_factor[0] != key:
-            grid = self.grid
-            nz = grid.n_z
+        W = A dy W_z, D3 = dz_3pt / A, L3 = D3^T W D3.  Once per (A, tau) the
+        bands of R and J are read off by diagonal and one complex banded
+        Cholesky factors every mode: the blocks follow one another on the
+        diagonal, so the band entries between them are zero."""
+        grid = self.grid
+        ny, nz = grid.n_y, grid.n_z
+        if self._viscous_factor is None or self._viscous_factor[0] != (A, tau):
             W = A * grid.dy * grid.quadrature_weights_z
             D3 = grid.vertical_derivative_matrix() / A
             L3 = D3.T @ (W[:, None] * D3)
-            uu = np.diag(W) + 0.5 * tau * L3
-            ww = np.diag(W) + tau * L3
-            # the u-w coupling is i sigma_k times uw
-            uw = 0.5 * tau * (D3.T * W[None, :])
-            # sigma_k^2 times mass is the rest of the diagonal
-            mass = np.stack([tau * W, 0.5 * tau * W], axis=1)
+            R = np.zeros((2 * nz, 2 * nz))
+            R[0::2, 0::2] = np.diag(W) + 0.5 * tau * L3
+            R[1::2, 1::2] = np.diag(W) + tau * L3
+            J = np.zeros((2 * nz, 2 * nz))
+            J[0::2, 1::2] = 0.5 * tau * (D3.T * W[None, :])
+            m = np.stack([tau * W, 0.5 * tau * W], axis=1).ravel()
             # no-slip bottom: u_0 and w_0 pinned
-            for X in (uu, ww, uw):
-                X[0, :] = X[:, 0] = 0.0
-            mass[0] = 0.0
-            uu[0, 0] = ww[0, 0] = 1.0
-
-            kd = max(_band_width(uu, 0), _band_width(ww, 0), _band_width(uw, 1))
-            real = np.zeros((kd + 1, nz, 2))
-            _place_block(real, uu, 0, 0)
-            _place_block(real, ww, 1, 1)
-            imag = np.zeros((kd + 1, nz, 2))
-            _place_block(imag, uw, 0, 1)
-            _place_block(imag, -uw.T, 1, 0)
-            n_modes = len(self.sigma)
-            sig = self.sigma[:, None, None]
-            bands = np.empty((kd + 1, n_modes * 2 * nz), complex, order="F")
-            blocks = bands.reshape(kd + 1, n_modes, nz, 2)
+            R[:2] = R[:, :2] = J[:2] = J[:, :2] = m[:2] = 0.0
+            R[0, 0] = R[1, 1] = 1.0
+            J[1::2, 0::2] = -J[0::2, 1::2].T
+            rows, cols = np.nonzero(R + J)
+            kd = int(np.max(np.abs(cols - rows)))
+            real, imag = (np.array([np.append(np.zeros(e), np.diagonal(X, e))
+                                    for e in range(kd, -1, -1)]) for X in (R, J))
+            sig = self.sigma[:, None]
+            bands = np.empty((kd + 1, len(sig) * 2 * nz), complex, order="F")
+            blocks = bands.reshape(kd + 1, len(sig), 2 * nz)
             blocks.real = real[:, None]
-            blocks.real[kd] += sig ** 2 * mass
+            blocks.real[kd] += sig ** 2 * m
             blocks.imag = sig * imag[:, None]
             factor, info = zpbtrf(bands, lower=0, overwrite_ab=1)
             if info != 0:
@@ -215,17 +192,11 @@ class SolverOps:
                     f"banded Cholesky of the flat viscous operator failed "
                     f"at mode {(info - 1) // (2 * nz)} (info {info})"
                 )
-            self._viscous_factor = (key, factor)
-        return self._viscous_factor[1]
-
-    def flat_viscous_solve(self, r, A, tau):
-        """Exact inverse of the pinned flat-metric viscous operator: one
-        banded solve over all rfft modes in y."""
-        ny, nz = self.grid.n_y, self.grid.n_z
-        factor = self._viscous_bands(A, tau)
+            self._viscous_factor = ((A, tau), factor)
         modes = np.fft.rfft(r.reshape(2, ny, nz), axis=1)
         # unknowns interleaved as (u_j, w_j) within each mode, and back
-        x = zpbtrs(factor, np.moveaxis(modes, 0, -1).ravel(), lower=0)[0]
+        x = zpbtrs(self._viscous_factor[1], np.moveaxis(modes, 0, -1).ravel(),
+                   lower=0)[0]
         out = np.fft.irfft(np.moveaxis(x.reshape(-1, nz, 2), -1, 0), n=ny, axis=1)
         return out.ravel()
 
@@ -420,8 +391,9 @@ def metric_ops(grid, d) -> MetricOps:
 class FlowState:
     """Velocity, surface and physical parameters at one time.
 
-    The metric d is not stored: it is built from (h, A, c0) on first use and
-    kept until the state is dropped.  The build is deterministic, so a
+    The metric d, built from (h, A, c0), and the interior lift eta_t of the
+    surface velocity dt h are not stored: each is built on first use and
+    kept until the state is dropped.  The builds are deterministic, so a
     rebuilt metric is bit-identical to the one the run stepped with.
     """
 
@@ -446,6 +418,11 @@ class FlowState:
     @cached_property
     def d(self):
         return build_diffeomorphism(self.h, A=self.A, c0=self.c0)
+
+    @cached_property
+    def eta_t(self):
+        w = kinematic_rhs(self.v.values, self.d)
+        return cutoff_lift(self.v.grid, np.fft.rfft(w))
 
 
 def _with_metric(state, d):
@@ -531,8 +508,7 @@ def cfl_dt(state: FlowState, cfl_factor=0.5):
     vmax = float(np.max(np.abs(v[0])))
     if vmax > 0:
         limits.append(grid.dy / vmax)
-    eta_t = cutoff_lift(grid, np.fft.rfft(kinematic_rhs(v, d)))
-    vz = (v[1] - d.grad_y_phi.values * v[0] - eta_t) / d.dzphi.values
+    vz = (v[1] - d.grad_y_phi.values * v[0] - state.eta_t) / d.dzphi.values
     vzmax = float(np.max(np.abs(vz)))
     if vzmax > 0:
         limits.append(grid.dz_min / vzmax)
@@ -584,8 +560,7 @@ def advance(state: FlowState, dt: float):
     # (iii) explicit advection in the V_z form
     b = d_half.grad_y_phi.values
     c = d_half.dzphi.values
-    eta_t = cutoff_lift(grid, np.fft.rfft(w0))
-    vz = (v0[1] - b * v0[0] - eta_t) / c
+    vz = (v0[1] - b * v0[0] - state.eta_t) / c
     adv = (
         v0[0] * horizontal_derivative_values(grid, v0)
         + vz * vertical_derivative_values(grid, v0)

@@ -43,26 +43,6 @@ def _vertical_derivative_matrix(z):
     return D
 
 
-def _sbp_derivative_matrix(z):
-    """Wide-centered first derivative with one-sided closures.
-
-    Together with the trapezoid weights this pair satisfies the exact
-    summation-by-parts identity W D + D^T W = diag(-1, 0, ..., 0, +1),
-    which the time stepper relies on for a clean discrete energy budget.
-    """
-    n = z.size
-    D = np.zeros((n, n))
-    rows = np.arange(1, n - 1)
-    span = z[2:] - z[:-2]
-    D[rows, rows + 1] = 1.0 / span
-    D[rows, rows - 1] = -1.0 / span
-    D[0, 0] = -1.0 / (z[1] - z[0])
-    D[0, 1] = 1.0 / (z[1] - z[0])
-    D[-1, -1] = 1.0 / (z[-1] - z[-2])
-    D[-1, -2] = -1.0 / (z[-1] - z[-2])
-    return D
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Tensor grid for the strip [0, length_y) x [-depth_H, 0].
@@ -116,10 +96,24 @@ class Grid:
         return _VERTICAL_CACHE[key]
 
     def sbp_derivative_matrix(self):
-        key = self._cache_key("sbp")
-        if key not in _VERTICAL_CACHE:
-            _VERTICAL_CACHE[key] = _sbp_derivative_matrix(self.z_nodes)
-        return _VERTICAL_CACHE[key]
+        """Wide-centered first derivative with one-sided closures.
+
+        Together with the trapezoid weights this pair satisfies the exact
+        summation-by-parts identity W D + D^T W = diag(-1, 0, ..., 0, +1),
+        which the time stepper relies on for a clean discrete energy budget.
+        """
+        z = self.z_nodes
+        n = z.size
+        D = np.zeros((n, n))
+        rows = np.arange(1, n - 1)
+        span = z[2:] - z[:-2]
+        D[rows, rows + 1] = 1.0 / span
+        D[rows, rows - 1] = -1.0 / span
+        D[0, 0] = -1.0 / (z[1] - z[0])
+        D[0, 1] = 1.0 / (z[1] - z[0])
+        D[-1, -1] = 1.0 / (z[-1] - z[-2])
+        D[-1, -2] = -1.0 / (z[-1] - z[-2])
+        return D
 
     def modal_profile(self, kind, build):
         """build(grid), an array over (rfft mode, z node), computed once per

@@ -118,6 +118,14 @@ class TestParseConfig:
             key = doc.split(" =")[0]
             assert f"key '{key}'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("mode_k", [0, -1, 8, 9])
+    def test_mode_k_outside_resolved_modes_rejected(self, mode_k):
+        # on n_y = 16, mode 8 is the Nyquist mode, which dy_c annihilates (a
+        # frozen wave); mode 9 aliases to mode 7 and mode 0 is a flat lift
+        with pytest.raises(ConfigurationError, match="key 'mode_k'"):
+            SimulationConfig(n_y=16, n_z=24, mode_k=mode_k)
+        assert SimulationConfig(n_y=16, n_z=24, mode_k=7).mode_k == 7
+
 
 class TestPresets:
     def test_equilibrium_zero(self):

@@ -282,6 +282,21 @@ class TestStepInvariants:
             new, _ = advance(standing_wave_state(wave_grid, a=5e-3, eps=eps), 0.03)
             assert np.all(np.isfinite(new.v.values))
 
+    def test_step_lifts_the_surface_velocity_once(self, wave_grid, monkeypatch):
+        # the CFL guard and the advection read one lift of dt h, eta_t
+        calls = []
+        lift = evolution.cutoff_lift
+
+        def counted(*args):
+            calls.append(None)
+            return lift(*args)
+
+        monkeypatch.setattr(evolution, "cutoff_lift", counted)
+        for eps in (0.0, 1e-3):
+            calls.clear()
+            advance(standing_wave_state(wave_grid, a=5e-3, eps=eps), 0.03)
+            assert len(calls) == 1
+
     def test_mass_conservation(self, wave_grid):
         a = 5e-3
         st = standing_wave_state(wave_grid, a=a)
@@ -639,7 +654,8 @@ class TestStoredOutputs:
 
 class TestStoredMetric:
     """A stored or restored state keeps (t, h, v) and its parameters; its
-    metric is rebuilt, bit for bit, when something asks for it."""
+    metric and its surface-velocity lift are rebuilt, bit for bit, when
+    something asks for them."""
 
     def test_stored_and_restored_states_hold_no_metric(self, tmp_path):
         g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
@@ -658,8 +674,9 @@ class TestStoredMetric:
         members = [s for t in sweep.trajectories.values() for s in t.states]
         for name, states in (("stored", traj.states), ("restored", restored),
                              ("sweep", members)):
-            held = sum("d" in vars(s) for s in states)
-            assert held == 0, f"{held} of {len(states)} {name} states hold a metric"
+            for attr in ("d", "eta_t"):
+                held = sum(attr in vars(s) for s in states)
+                assert held == 0, f"{held} of {len(states)} {name} states hold {attr}"
             for s in states:
                 assert set(vars(s.h)) == {"grid", "h_values"}, name
 
