@@ -19,7 +19,6 @@ from .surface import (
 )
 from .conormal import FieldHistory, MultiIndex, apply_conormal, conormal_norm
 from .operators import (
-    MetricMatrices,
     commutator_residual,
     div_phi,
     grad_phi,

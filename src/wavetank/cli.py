@@ -2,9 +2,9 @@
 
 Every command writes an effective-config file (all defaults applied) and a
 machine-readable status file to the output directory, then exits 0 on
-success or 1 with the error class recorded.  A command handler takes the
-config and the prepared output directory and raises on failure; main
-writes the status.
+success or 1 with the error class recorded there and printed on stderr.  A
+command handler takes the config and the prepared output directory and
+raises on failure; main writes the status.
 """
 
 import argparse
@@ -231,6 +231,7 @@ def main(argv=None) -> int:
         handler(config, out)
     except WavetankError as exc:
         _write_status(out, "error", exc)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _write_status(out, "ok")
     return 0

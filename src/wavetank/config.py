@@ -52,6 +52,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        build_grid(self)  # the grid keys first; make_grid names the key
         if self.preset not in PRESETS:
             raise ConfigurationError(f"unknown preset {self.preset!r} (key 'preset')")
         for f in fields(self):

@@ -45,8 +45,8 @@ class FieldHistory:
     def __init__(self, grid, values_list, dt):
         if not values_list:
             raise ConfigurationError("history needs at least one level")
-        if dt <= 0:
-            raise ConfigurationError("history dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ConfigurationError(f"history dt must be finite and > 0, got {dt}")
         self.grid = grid
         self.levels = [np.asarray(v, dtype=float) for v in values_list]
         self.dt = float(dt)

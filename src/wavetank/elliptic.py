@@ -1,14 +1,14 @@
 """Variable-coefficient elliptic Dirichlet solves and the pressure split.
 
 EllipticOperator(d) assembles one symmetric stiffness matrix per metric
-(divergence form, cell-averaged E), checks E positive definite once, and
-serves every Dirichlet solve on that metric through one conjugate-gradient
-loop under one iteration budget, CG_BUDGET.  The Dirichlet-Neumann operator
-is the weak boundary flux of the same matrix, so its discrete bilinear form
-is exactly symmetric.  Every CG solve, here and in the time stepper, is
-preconditioned by the exact inverse of its operator on the flat strip
-(h = 0), applied through flat_strip_solve: the iteration count depends on
-the surface's amplitude, not on the grid.
+(divergence form, cell-averaged E), checks E positive definite once (det E
+= 1, so the check is min(dz_phi) > 0), and serves every Dirichlet solve on
+that metric through one conjugate-gradient loop under one iteration budget,
+CG_BUDGET.  The Dirichlet-Neumann operator is the weak boundary flux of the
+same matrix, so its discrete bilinear form is exactly symmetric.  Every CG
+solve, here and in the time stepper, is preconditioned by the exact inverse
+of its operator on the flat strip (h = 0), applied through flat_strip_solve:
+the iteration count depends on the surface's amplitude, not on the grid.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigurationError, MetricValidityError, SolverFailureError
 from .grid import Field
 from .operators import (
-    MetricMatrices,
     divergence_form_matrix,
     dual_areas,
     flux_load,
@@ -106,18 +105,18 @@ def _checked(name, values, shape):
 
 
 class EllipticOperator:
-    """The stiffness of -div(E grad q) for one metric, reused across solves."""
+    """The stiffness of -div(E grad q) for one metric, reused across solves.
+    det E = 1, so E is positive definite exactly where dz_phi > 0."""
 
     def __init__(self, d):
-        metric = MetricMatrices(d)
-        lowest = metric.min_eigenvalue()
+        lowest = float(np.min(d.dzphi.values))
         if lowest <= 0:
             raise MetricValidityError(
                 "coefficient matrix E is not positive definite", observed_min=lowest
             )
         self.grid = d.grid
-        self.metric = metric
-        self.A = divergence_form_matrix(d.grid, metric.E11, metric.E12, metric.E22)
+        self.d = d
+        self.A = divergence_form_matrix(d)
         self.top_idx = np.arange(d.grid.n_y) * d.grid.n_z + (d.grid.n_z - 1)
         self._interior_cache = {}
 
@@ -143,7 +142,7 @@ class EllipticOperator:
             lam, V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
             cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
             ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
-            denominator = self.metric.A * ky + my * lam / self.metric.A
+            denominator = self.d.A * ky + my * lam / self.d.A
             self._interior_cache[bottom_condition] = (free, A_ff, A_fd, V, denominator)
         return self._interior_cache[bottom_condition]
 
@@ -155,8 +154,8 @@ class EllipticOperator:
         rhs is the plain source of -Delta_phi q = rhs (weighted by dz_phi in
         the weak load); flux_rhs = (F1, F2) is one already in divergence form.
         """
-        if tol <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {tol}")
+        if not (np.isfinite(tol) and tol > 0):
+            raise ConfigurationError(f"tolerance must be finite and > 0, got {tol}")
         if bottom_condition not in ("neumann_zero", "dirichlet_zero"):
             raise ConfigurationError(
                 f"bottom condition must be neumann_zero or dirichlet_zero, "
@@ -167,7 +166,7 @@ class EllipticOperator:
         load = np.zeros(g.n_y * g.n_z)
         if rhs is not None:
             rhs = _checked("rhs", rhs, g.shape)
-            load += (rhs * self.metric.dzphi * dual_areas(g)).ravel()
+            load += (rhs * self.d.dzphi.values * dual_areas(g)).ravel()
         if flux_rhs is not None:
             load += flux_load(g, *_checked("flux_rhs", flux_rhs, (2,) + g.shape))
 
@@ -276,7 +275,7 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
     op = EllipticOperator(d)
     grid = d.grid
     adv = advection_term(v, d)
-    flux_E = (op.metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+    flux_E = (d.dzphi.values * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
     problems = (
         (g * d.h.h_values, flux_E),
         (viscous_boundary_trace(v, d, eps) if eps > 0 else None, None),

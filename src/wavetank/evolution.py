@@ -237,17 +237,17 @@ class MetricOps:
         self.slope = self.b / self.c
         self.wc = self.c * ops.weights
 
-    def _grad(self, q):
-        g = self.ops.dz_sbp @ q
-        return self.ops.dy_c @ q - self.slope * g, g / self.c
+    def _pair(self, dz, u):
+        """(dy_c u - (b/c) dz u, dz u / c) for a vertical derivative matrix dz."""
+        g = dz @ u
+        return self.ops.dy_c @ u - self.slope * g, g / self.c
 
-    def _grad_t(self, y1, y2):
-        """G^T [y1; y2]; dy_c is antisymmetric."""
-        ops = self.ops
-        return ops.dz_sbp_t @ (y2 / self.c - self.slope * y1) - ops.dy_c @ y1
+    def _pair_t(self, dz_t, y1, y2):
+        """The transpose of _pair applied to [y1; y2]; dy_c is antisymmetric."""
+        return dz_t @ (y2 / self.c - self.slope * y1) - self.ops.dy_c @ y1
 
     def gradient(self, q):
-        g1, g2 = self._grad(np.ravel(q))
+        g1, g2 = self._pair(self.ops.dz_sbp, np.ravel(q))
         return np.stack([g1.reshape(self.grid.shape), g2.reshape(self.grid.shape)])
 
     # -- projection ----------------------------------------------------------
@@ -297,7 +297,8 @@ class MetricOps:
         after an rfft in y is diagonalized once per grid in z.
         """
         ops = self.ops
-        rhs = self._grad_t(self.wc * np.ravel(v[0]), self.wc * np.ravel(v[1]))
+        rhs = self._pair_t(ops.dz_sbp_t, self.wc * np.ravel(v[0]),
+                           self.wc * np.ravel(v[1]))
         rhs[ops.top_idx] = 0.0
         A = self.A
         psi, iters = self._solve(
@@ -320,20 +321,16 @@ class MetricOps:
 
     def _strain(self, u1, u2):
         """(S11, S12, S22) of the solver strain on flattened components."""
-        ops = self.ops
-        dz1, dz2 = ops.dz_3pt @ u1, ops.dz_3pt @ u2
-        a1_2 = ops.dy_c @ u2 - self.slope * dz2
-        s11 = ops.dy_c @ u1 - self.slope * dz1
-        return s11, 0.5 * (dz1 / self.c + a1_2), dz2 / self.c
+        s11, d3u1 = self._pair(self.ops.dz_3pt, u1)
+        d1u2, s22 = self._pair(self.ops.dz_3pt, u2)
+        return s11, 0.5 * (d3u1 + d1u2), s22
 
     def _strain_form(self, u1, u2):
         """K u = (S11^T W_c S11 + S22^T W_c S22 + 2 S12^T W_c S12) u."""
-        ops = self.ops
+        dz_t = self.ops.dz_3pt_t
         s11, s12, s22 = self._strain(u1, u2)
         y11, y12, y22 = self.wc * s11, self.wc * s12, self.wc * s22
-        k1 = ops.dz_3pt_t @ (y12 / self.c - self.slope * y11) - ops.dy_c @ y11
-        k2 = ops.dz_3pt_t @ (y22 / self.c - self.slope * y12) - ops.dy_c @ y12
-        return k1, k2
+        return self._pair_t(dz_t, y11, y12), self._pair_t(dz_t, y12, y22)
 
     def strain_dissipation(self, v, eps):
         """4 eps integral(|S v|^2) dV_t with the solver strain."""
@@ -501,6 +498,10 @@ def check_compatibility(state: FlowState):
 
 def cfl_dt(state: FlowState, cfl_factor=0.5):
     """Stability bound: advective, capillary, and gravity-wave limits."""
+    if not (math.isfinite(cfl_factor) and cfl_factor > 0):
+        raise ConfigurationError(
+            f"cfl_factor must be finite and > 0, got {cfl_factor}"
+        )
     grid = state.v.grid
     v = state.v.values
     d = state.d
@@ -540,8 +541,8 @@ def advance(state: FlowState, dt: float):
     the current state alone, so reruns and checkpoint restarts reproduce
     trajectories exactly.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be finite and > 0, got {dt}")
     limit = cfl_dt(state, cfl_factor=1.0)
     if dt > limit * (1.0 + 1e-9):
         raise StepSizeError(f"dt = {dt:.3e} exceeds stability limit {limit:.3e}")

@@ -136,16 +136,16 @@ def make_grid(n_y, n_z, length_y, depth_H, clustering="tanh", stretch_gamma=3.0)
         raise ConfigurationError(f"n_y must be even and >= 8, got {n_y}")
     if n_z < 8:
         raise ConfigurationError(f"n_z must be >= 8, got {n_z}")
-    if depth_H <= 0:
-        raise ConfigurationError(f"depth_H must be positive, got {depth_H}")
-    if length_y <= 0:
-        raise ConfigurationError(f"length_y must be positive, got {length_y}")
     if clustering not in CLUSTERINGS:
         raise ConfigurationError(
             f"clustering must be one of {CLUSTERINGS}, got {clustering!r}"
         )
-    if clustering == "tanh" and stretch_gamma <= 0:
-        raise ConfigurationError(f"stretch_gamma must be positive, got {stretch_gamma}")
+    positive = {"depth_H": depth_H, "length_y": length_y}
+    if clustering == "tanh":
+        positive["stretch_gamma"] = stretch_gamma
+    for name, value in positive.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
     y = np.arange(n_y) * (length_y / n_y)
     if clustering == "uniform":

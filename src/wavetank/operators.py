@@ -9,11 +9,13 @@ discrete derivative matrices used here (which commute exactly across axes),
 the two routes agree to rounding, which is the primary correctness oracle
 for this module.
 
-The divergence-form Laplacian (1/c) div(E grad .) is assembled as a symmetric
+The divergence-form Laplacian (1/c) div(E grad .), with
+E = (1/c) P P^T = [[c, -b], [-b, (1 + b^2)/c]], is assembled as a symmetric
 bilinear-element stiffness matrix with cell-averaged E, each cell's block a
 sum of Kronecker products of the 1-D linear-element matrices; the elliptic
 solves, their flat-strip preconditioner and the weak-symmetry checks read
-that one definition of the element.
+that one definition of the element.  det E = 1 at every node, so E is
+positive definite exactly where c > 0.
 """
 
 import numpy as np
@@ -28,10 +30,6 @@ from .grid import (
 from .conormal import FieldHistory, MultiIndex, apply_conormal, as_history
 
 
-def _metric_arrays(d):
-    return d.dzphi.values, d.grad_y_phi.values
-
-
 def jacobian_phi(values, d):
     """Transformed derivatives (d1_phi f, d3_phi f) of raw samples.
 
@@ -39,7 +37,7 @@ def jacobian_phi(values, d):
     vector samples: one horizontal and one vertical derivative pass serve
     both directions, and the metric broadcasts over leading axes.
     """
-    c, b = _metric_arrays(d)
+    c, b = d.dzphi.values, d.grad_y_phi.values
     dy = horizontal_derivative_values(d.grid, values)
     dz = vertical_derivative_values(d.grid, values)
     return dy - (b / c) * dz, dz / c
@@ -54,7 +52,7 @@ def grad_phi(f: Field, d) -> Field:
 
 def grad_phi_matrix(f: Field, d) -> Field:
     """Transformed gradient via (1/c) P^T grad f."""
-    c, b = _metric_arrays(d)
+    c, b = d.dzphi.values, d.grad_y_phi.values
     dy = horizontal_derivative_values(d.grid, f.values)
     dz = vertical_derivative_values(d.grid, f.values)
     return Field(d.grid, np.stack([(c * dy - b * dz) / c, dz / c]))
@@ -75,7 +73,7 @@ def div_phi_matrix(v: Field, d) -> Field:
     div P = (D_y c - D_z b, 0), which vanishes to rounding because the stored
     metric derives from one potential through commuting derivative matrices.
     """
-    c, b = _metric_arrays(d)
+    c, b = d.dzphi.values, d.grad_y_phi.values
     g = d.grid
     v1, v2 = v.values[0], v.values[1]
     contracted = (
@@ -108,41 +106,6 @@ def vorticity_phi(v: Field, d) -> Field:
     """Transformed scalar curl d1_phi v2 - d3_phi v1 (diagnostic field)."""
     j1, j3 = jacobian_phi(v.values, d)
     return Field(d.grid, j1[1] - j3[0])
-
-
-# ---------------------------------------------------------------------------
-# Metric matrices P and E
-
-class MetricMatrices:
-    """P and E entries on the grid, with E = (1/c) P P^T checked pointwise.
-
-    P = [[c, 0], [-b, 1]],  E = [[c, -b], [-b, (1 + b^2)/c]].  A is the
-    slope of phi = A z + eta, so c = A and b = 0 on the flat strip.
-    """
-
-    def __init__(self, d):
-        c, b = _metric_arrays(d)
-        self.grid = d.grid
-        self.A = d.A
-        self.dzphi = c
-        self.P11, self.P12 = c, np.zeros_like(c)
-        self.P21, self.P22 = -b, np.ones_like(c)
-        self.E11 = c
-        self.E12 = -b
-        self.E22 = (1.0 + b ** 2) / c
-
-    def e_from_p(self):
-        """E recomputed as (1/c) P P^T, for the identity check."""
-        c = self.dzphi
-        e11 = (self.P11 ** 2 + self.P12 ** 2) / c
-        e12 = (self.P11 * self.P21 + self.P12 * self.P22) / c
-        e22 = (self.P21 ** 2 + self.P22 ** 2) / c
-        return e11, e12, e22
-
-    def min_eigenvalue(self):
-        tr = self.E11 + self.E22
-        det = self.E11 * self.E22 - self.E12 ** 2
-        return float(np.min(0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4.0 * det, 0.0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +143,22 @@ def _cell_node_indices(grid):
     return np.stack([sw, se, sw + 1, se + 1], axis=-1)
 
 
-def divergence_form_matrix(grid, E11, E12, E22):
-    """Stiffness matrix of the form integral(grad p . E grad q) dy dz.
+def divergence_form_matrix(d):
+    """Stiffness matrix of the form integral(grad p . E grad q) dy dz for the
+    metric d, with E = [[c, -b], [-b, (1 + b^2)/c]].
 
     Symmetric by construction; rows/columns ordered by node index j*n_z + i.
     """
+    grid, c, b = d.grid, d.dzphi.values, d.grad_y_phi.values
     ny, nz = grid.n_y, grid.n_z
     dy, dz = grid.dy, np.diff(grid.z_nodes)[:, None, None]
     k_yy = dz * np.kron(_M1, _K1 / dy)   # int d_y N_a d_y N_b, (nz-1, 4, 4)
     k_zz = np.kron(_K1, dy * _M1) / dz   # int d_z N_a d_z N_b
     k_yz = np.kron(_C1.T, _C1)           # int d_y N_a d_z N_b, every cell alike
     k_cells = (
-        _cell_average(E11)[:, :, None, None] * k_yy
-        + _cell_average(E12)[:, :, None, None] * (k_yz + k_yz.T)
-        + _cell_average(E22)[:, :, None, None] * k_zz
+        _cell_average(c)[:, :, None, None] * k_yy
+        + _cell_average(-b)[:, :, None, None] * (k_yz + k_yz.T)
+        + _cell_average((1.0 + b ** 2) / c)[:, :, None, None] * k_zz
     )  # (ny, nz-1, 4, 4)
 
     idx = _cell_node_indices(grid)                 # (ny, nz-1, 4)
@@ -235,10 +200,8 @@ def laplacian_phi(f: Field, d) -> Field:
     boundary rows contain the weak boundary fluxes and are the caller's
     responsibility.
     """
-    mm = MetricMatrices(d)
-    A = divergence_form_matrix(d.grid, mm.E11, mm.E12, mm.E22)
-    weak = A @ f.values.ravel()
-    dense = -weak.reshape(d.grid.shape) / (mm.dzphi * dual_areas(d.grid))
+    weak = divergence_form_matrix(d) @ f.values.ravel()
+    dense = -weak.reshape(d.grid.shape) / (d.dzphi.values * dual_areas(d.grid))
     return Field(d.grid, dense)
 
 
@@ -247,8 +210,7 @@ def laplacian_phi_weak_form(f_values, g_values, d):
 
     Exactly symmetric in (f, g); used by the weak-symmetry checks.
     """
-    mm = MetricMatrices(d)
-    A = divergence_form_matrix(d.grid, mm.E11, mm.E12, mm.E22)
+    A = divergence_form_matrix(d)
     return float(-(np.ravel(g_values) @ (A @ np.ravel(f_values))))
 
 

@@ -158,15 +158,15 @@ def build_diffeomorphism(h: SurfaceState, A, c0):
     When A is None it is chosen as max(1, 2 max|d_z eta|) so the map starts
     with margin.
     """
-    if c0 <= 0:
-        raise ConfigurationError(f"c0 must be positive, got {c0}")
+    if not (np.isfinite(c0) and c0 > 0):
+        raise ConfigurationError(f"c0 must be finite and > 0, got {c0}")
     g = h.grid
     eta = extend_surface(h)
     dz_eta = vertical_derivative_values(g, eta.values)
     if A is None:
         A = max(1.0, 2.0 * float(np.max(np.abs(dz_eta))))
-    if A <= 0:
-        raise ConfigurationError(f"extension slope A must be positive, got {A}")
+    if not (np.isfinite(A) and A > 0):
+        raise ConfigurationError(f"extension slope A must be finite and > 0, got {A}")
     dzphi = A + dz_eta
     observed = float(np.min(dzphi))
     if observed < c0:

@@ -191,7 +191,7 @@ def test_criterion_03_pressure_decomposition():
         )
 
         adv = advection_term(v, d)
-        c = op.metric.dzphi
+        c = d.dzphi.values
         b = d.grad_y_phi.values
         combined = (
             d.h.h_values

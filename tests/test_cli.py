@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from wavetank.cli import main
 
@@ -80,6 +81,15 @@ class TestRunCommand:
         code = run_cli("audit", "--out", str(tmp_path / "o"), "--seed", "-1")
         assert code == 1
         assert "key 'seed'" in capsys.readouterr().err
+
+    def test_handler_error_printed(self, tmp_path, capsys):
+        # dt = 5 is clipped to t_final = 1, still past the stability limit
+        out = tmp_path / "o"
+        code = run_cli("run", "--out", str(out), "--override", "dt=5")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("StepSizeError: dt = ")
+        status = json.loads((out / "status.json").read_text())
+        assert status["error_class"] == "StepSizeError"
 
     def test_snapshots_at_cadence(self, tmp_path):
         out = tmp_path / "snaps"
@@ -163,3 +173,13 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "WARNING" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_y", [7, 2])
+    def test_bad_grid_key_reported_before_output(self, tmp_path, capsys, n_y):
+        out = tmp_path / "chk"
+        code = run_cli("check", "--out", str(out), "--override", f"n_y={n_y}")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: n_y must be even and >= 8, got {n_y}\n"
+        )
+        assert not out.exists()

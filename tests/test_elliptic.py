@@ -120,6 +120,21 @@ class TestSolveElliptic:
         with pytest.raises(MetricValidityError):
             EllipticOperator(d)
 
+    @pytest.mark.parametrize("lowest", [0.0, -0.3])
+    def test_one_non_positive_node_rejected(self, grid, rng, lowest):
+        # det E = 1, so E is indefinite exactly where dz_phi <= 0; the error
+        # reports that dz_phi, not an eigenvalue of E
+        c = 1.0 + 0.1 * rng.random(grid.shape)
+        c[5, 7] = lowest
+        d = Diffeomorphism(
+            grid=grid, A=1.0, h=surface_from_values(grid, np.zeros(grid.n_y)),
+            dzphi=Field(grid, c), grad_y_phi=Field(grid, 0.2 * np.ones(grid.shape)),
+            c0_observed=lowest,
+        )
+        with pytest.raises(MetricValidityError) as info:
+            EllipticOperator(d)
+        assert info.value.observed_min == lowest
+
     def test_bad_tolerance_or_bottom(self, grid, flat_metric):
         op = EllipticOperator(flat_metric)
         top = np.zeros(grid.n_y)
@@ -313,7 +328,7 @@ class TestPressureDecomposition:
         split = decompose_pressure(v, d, eps=eps, g=grav, sigma=sigma, tol=tol)
         op = EllipticOperator(d)
         adv = advection_term(v, d)
-        flux = (op.metric.dzphi * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
+        flux = (d.dzphi.values * adv[0], -d.grad_y_phi.values * adv[0] + adv[1])
         expected, total = [], 0
         for top, rhs in (
             (grav * d.h.h_values, flux),
@@ -343,7 +358,7 @@ class TestPressureDecomposition:
             )
 
             adv = advection_term(v, d)
-            c = op.metric.dzphi
+            c = d.dzphi.values
             b = d.grad_y_phi.values
             combined_top = (
                 1.0 * d.h.h_values

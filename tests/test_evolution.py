@@ -9,8 +9,10 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from wavetank import evolution
+from wavetank.conormal import FieldHistory
 from wavetank.diagnostics import epsilon_sweep
 from wavetank.elliptic import (
+    EllipticOperator,
     capillary_trace,
     decompose_pressure,
     viscous_boundary_trace,
@@ -742,6 +744,26 @@ class TestStoredMetric:
             assert np.array_equal(getattr(back.d, name).values, saved), name
 
 
+def _flat(g):
+    return surface_from_values(g, np.zeros(g.n_y))
+
+
+# one argument per case, NaN or inf, each passed where it is checked
+_NON_FINITE_CASES = {
+    "c0": lambda g: build_diffeomorphism(_flat(g), A=1.0, c0=np.nan),
+    "extension slope A": lambda g: build_diffeomorphism(_flat(g), np.nan, 0.25),
+    "tolerance": lambda g: EllipticOperator(
+        build_diffeomorphism(_flat(g), A=1.0, c0=0.25)
+    ).solve(np.zeros(g.n_y), np.nan),
+    "length_y": lambda g: make_grid(16, 16, np.nan, 1.0),
+    "depth_H": lambda g: make_grid(16, 16, 1.0, np.inf),
+    "stretch_gamma": lambda g: make_grid(16, 16, 1.0, 1.0, stretch_gamma=np.nan),
+    "dt": lambda g: advance(standing_wave_state(g), np.nan),
+    "history dt": lambda g: FieldHistory(g, [np.zeros(g.shape)], dt=np.nan),
+    "cfl_factor": lambda g: cfl_dt(standing_wave_state(g), cfl_factor=np.nan),
+}
+
+
 class TestValidation:
     def test_negative_parameters_rejected(self, wave_grid):
         with pytest.raises(ConfigurationError):
@@ -785,3 +807,9 @@ class TestValidation:
         st = standing_wave_state(wave_grid)
         with pytest.raises(ConfigurationError):
             run(st, t_final=t_final, dt=dt)
+
+    @pytest.mark.parametrize("key", _NON_FINITE_CASES)
+    def test_non_finite_argument_named(self, wave_grid, key):
+        # NaN fails every x <= 0 test, so each guard asks for finite and > 0
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite and > 0"):
+            _NON_FINITE_CASES[key](wave_grid)

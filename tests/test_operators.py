@@ -11,7 +11,6 @@ from wavetank.grid import (
     vertical_derivative_values,
 )
 from wavetank.operators import (
-    MetricMatrices,
     commutator_residual,
     div_phi,
     div_phi_matrix,
@@ -175,26 +174,12 @@ class TestStrainAndVorticity:
         assert np.max(np.abs(strain_phi(v, curved_metric).values)) == 0.0
 
 
-class TestMetricMatrices:
-    def test_identity_e_from_p(self, grid, rng):
-        for _ in range(5):
-            d = random_valid_metric(grid, rng)
-            mm = MetricMatrices(d)
-            e11, e12, e22 = mm.e_from_p()
-            assert np.max(np.abs(e11 - mm.E11)) < TOL
-            assert np.max(np.abs(e12 - mm.E12)) < TOL
-            assert np.max(np.abs(e22 - mm.E22)) < TOL
-
-    def test_positive_definite_on_valid_metric(self, grid, rng):
-        d = random_valid_metric(grid, rng)
-        assert MetricMatrices(d).min_eigenvalue() > 0.0
-
+class TestStiffnessMatrix:
     def test_symmetry_is_structural(self, rng):
         # the cross term enters as k_yz + k_yz^T, so the stiffness matrix is
         # symmetric to the last bit
         g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
-        mm = MetricMatrices(random_valid_metric(g, rng))
-        A = divergence_form_matrix(g, mm.E11, mm.E12, mm.E22)
+        A = divergence_form_matrix(random_valid_metric(g, rng))
         assert abs(A - A.T).max() == 0.0
 
 
@@ -324,10 +309,14 @@ class TestKroneckerAssembly:
         return A, load
 
     def test_matches_gauss_point_assembly(self, grid, curved_metric, rng):
-        mm = MetricMatrices(curved_metric)
+        # the oracle's E is (1/c) P P^T with P = [[c, 0], [-b, 1]], not the
+        # closed form that divergence_form_matrix assembles
+        c, b = curved_metric.dzphi.values, curved_metric.grad_y_phi.values
+        P = np.array([[c, np.zeros_like(c)], [-b, np.ones_like(c)]])
+        E = np.einsum("ik...,jk...->ij...", P, P) / c
         F1, F2 = rng.standard_normal((2,) + grid.shape)
-        A_ref, load_ref = self.gauss_reference(grid, mm.E11, mm.E12, mm.E22, F1, F2)
-        A = divergence_form_matrix(grid, mm.E11, mm.E12, mm.E22).toarray()
+        A_ref, load_ref = self.gauss_reference(grid, E[0, 0], E[0, 1], E[1, 1], F1, F2)
+        A = divergence_form_matrix(curved_metric).toarray()
         load = flux_load(grid, F1, F2)
         assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
         assert np.max(np.abs(load - load_ref)) <= 1e-14 * np.max(np.abs(load_ref))
