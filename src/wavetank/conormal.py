@@ -174,6 +174,21 @@ def conormal_norm(f, family, m, s=0) -> float:
     return value
 
 
+def _anisotropic_ratio(grid, corpus, lhs, s1, s2):
+    """max over the corpus of lhs(f) / (|d_z f|_{H^{s2}_tan} |f|_{H^{s1}_tan}),
+    skipping fields whose right-hand side is negligible against lhs(f)."""
+    worst = 0.0
+    for values in corpus:
+        left = lhs(np.asarray(values))
+        dz = vertical_derivative_values(grid, values)
+        rhs = tangential_sobolev_norm(grid, dz, s2) * tangential_sobolev_norm(
+            grid, values, s1
+        )
+        if rhs > 1e-10 * max(left, 1e-300):
+            worst = max(worst, left / rhs)
+    return worst
+
+
 def trace_inequality_audit(grid, corpus, s, s1, s2):
     """Measured constant in |f(.,0)|_{H^s}^2 <= C |d_z f|_{H^{s2}_tan} |f|_{H^{s1}_tan}.
 
@@ -181,49 +196,33 @@ def trace_inequality_audit(grid, corpus, s, s1, s2):
     """
     if abs((s1 + s2) - 2.0 * s) > 1e-12:
         raise ConfigurationError("trace audit needs s1 + s2 = 2 s")
-    worst = 0.0
-    for values in corpus:
-        tr = np.asarray(values)[:, -1]
-        lhs = boundary_sobolev_norm(grid, tr, s) ** 2
-        dz = vertical_derivative_values(grid, values)
-        rhs = tangential_sobolev_norm(grid, dz, s2) * tangential_sobolev_norm(
-            grid, values, s1
-        )
-        if rhs > 1e-10 * max(lhs, 1e-300):
-            worst = max(worst, lhs / rhs)
-    return worst
+    return _anisotropic_ratio(
+        grid, corpus, lambda f: boundary_sobolev_norm(grid, f[:, -1], s) ** 2, s1, s2
+    )
 
 
 def anisotropic_embedding_audit(grid, corpus, s1=2.0, s2=1.0):
     """Measured constant in |f|_inf^2 <= C |d_z f|_{H^{s2}_tan} |f|_{H^{s1}_tan}."""
     if s1 + s2 <= 2.0:
         raise ConfigurationError("embedding audit needs s1 + s2 > 2")
-    worst = 0.0
-    for values in corpus:
-        lhs = _linf(np.asarray(values)) ** 2
-        dz = vertical_derivative_values(grid, values)
-        rhs = tangential_sobolev_norm(grid, dz, s2) * tangential_sobolev_norm(
-            grid, values, s1
-        )
-        if rhs > 1e-10 * max(lhs, 1e-300):
-            worst = max(worst, lhs / rhs)
-    return worst
+    return _anisotropic_ratio(grid, corpus, lambda f: _linf(f) ** 2, s1, s2)
 
 
-def smooth_field_params(rng, max_mode=5, n_profiles=3):
-    """Grid-independent description of a random smooth field.
+def smooth_field_params(rng):
+    """Grid-independent description of a random smooth field: three
+    profiles, each one Fourier mode in y of order at most 5.
 
     Drawing parameters separately from evaluation lets refinement studies
     measure the same continuum corpus on nested grids.
     """
     return [
         (
-            int(rng.integers(0, max_mode + 1)),
+            int(rng.integers(0, 6)),
             float(rng.uniform(0, 2 * np.pi)),
             float(rng.uniform(0.2, 1.0)),
             float(rng.uniform(0.3, 2.0)),
         )
-        for _ in range(n_profiles)
+        for _ in range(3)
     ]
 
 
@@ -237,6 +236,6 @@ def evaluate_smooth_field(grid, params):
     return out
 
 
-def random_smooth_field(grid, rng, max_mode=5, n_profiles=3):
+def random_smooth_field(grid, rng):
     """Random smooth interior field: low Fourier modes in y, smooth decay in z."""
-    return evaluate_smooth_field(grid, smooth_field_params(rng, max_mode, n_profiles))
+    return evaluate_smooth_field(grid, smooth_field_params(rng))

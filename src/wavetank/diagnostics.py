@@ -126,8 +126,8 @@ def layer_profile(state, reference_state, eps):
     Returns (zeta, profile) where profile is the rms-over-y deviation of the
     horizontal velocity at each vertical node, and zeta = z / sqrt(eps).
     """
-    if eps <= 0:
-        raise ConfigurationError("layer profile needs eps > 0")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
     g = state.v.grid
     dv = state.v.values[0] - reference_state.v.values[0]
     profile = np.sqrt(np.mean(dv ** 2, axis=0))

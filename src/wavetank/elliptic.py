@@ -25,7 +25,7 @@ from .operators import (
     linear_element_matrices,
     strain_phi,
 )
-from .surface import surface_geometry
+from .surface import boundary_sobolev_norm, surface_geometry
 
 # iterations allowed to every CG solve; the most any solve takes is about 30
 CG_BUDGET = 500
@@ -216,6 +216,21 @@ def dn_quadratic_form(d, f_b, g_b, tol=1e-10):
     return float(np.sum(flux * np.asarray(g_b, float)) * d.grid.dy)
 
 
+def dn_coercivity_ratio(d, f_b, tol):
+    """(G[h] f, f) / ((1 + |h|_{W^{1,inf}})^{-2} |Lambda f|^2), the DN
+    coercivity constant measured on f = f_b, with the Fourier multiplier
+    Lambda = |grad| (1 + |grad|)^{-1/2}."""
+    g = d.grid
+    fh = np.fft.rfft(np.asarray(f_b, float))
+    fh *= g.wavenumbers / np.sqrt(1.0 + g.wavenumbers)
+    lam_f = boundary_sobolev_norm(g, np.fft.irfft(fh, n=g.n_y), 0.0)
+    if lam_f == 0:
+        raise ConfigurationError("f_b is constant, so Lambda f_b = 0")
+    quad = dn_quadratic_form(d, f_b, f_b, tol=tol)
+    w1inf = d.h.max_abs() + float(np.max(np.abs(d.h.slope())))
+    return quad / ((1.0 + w1inf) ** -2 * lam_f ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Pressure decomposition
 
@@ -270,8 +285,8 @@ def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):
     viscous normal stress trace, qS the capillary trace.  At eps = 0 the
     qNS solve is skipped.
     """
-    if eps < 0:
-        raise ConfigurationError(f"viscosity must be >= 0, got {eps}")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ConfigurationError(f"eps must be finite and >= 0, got {eps}")
     op = EllipticOperator(d)
     grid = d.grid
     adv = advection_term(v, d)

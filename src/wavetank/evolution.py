@@ -388,8 +388,8 @@ def metric_ops(grid, d) -> MetricOps:
 class FlowState:
     """Velocity, surface and physical parameters at one time.
 
-    The metric d, built from (h, A, c0), and the interior lift eta_t of the
-    surface velocity dt h are not stored: each is built on first use and
+    The metric d, built from (h, A, c0), the surface velocity w = dt h and
+    its interior lift eta_t are not stored: each is built on first use and
     kept until the state is dropped.  The builds are deterministic, so a
     rebuilt metric is bit-identical to the one the run stepped with.
     """
@@ -417,9 +417,12 @@ class FlowState:
         return build_diffeomorphism(self.h, A=self.A, c0=self.c0)
 
     @cached_property
+    def w(self):
+        return kinematic_rhs(self.v.values, self.d)
+
+    @cached_property
     def eta_t(self):
-        w = kinematic_rhs(self.v.values, self.d)
-        return cutoff_lift(self.v.grid, np.fft.rfft(w))
+        return cutoff_lift(self.v.grid, np.fft.rfft(self.w))
 
 
 def _with_metric(state, d):
@@ -551,7 +554,7 @@ def advance(state: FlowState, dt: float):
     h0 = state.h.h_values
 
     # (i) half-step kinematic predictor
-    w0 = kinematic_rhs(v0, state.d)
+    w0 = state.w
     h_half = surface_from_values(grid, h0 + 0.5 * dt * w0)
 
     # (ii) rebuild the flattening map at the midpoint surface
@@ -584,8 +587,10 @@ def advance(state: FlowState, dt: float):
     q_top = q_top + capillary_trace(h_half, state.sigma)
     q = np.repeat(q_top[:, None], grid.n_z, axis=1)
 
-    # (vi) kick and exact discrete projection
-    v_kicked = v_visc - dt * mops.gradient(q)
+    # (vi) kick and exact discrete projection: q is constant in z, so its
+    # vertical derivative vanishes and only the first component moves
+    v_kicked = v_visc.copy()
+    v_kicked[0] -= dt * (mops.ops.dy_c @ q.ravel()).reshape(grid.shape)
     v_proj, iters_p1 = mops.project(v_kicked, return_iterations=True)
 
     # (vii) trapezoidal kinematic corrector
@@ -604,10 +609,10 @@ def advance(state: FlowState, dt: float):
 
     # residual bookkeeping
     proj_res = mops1.divergence_residual(v1)
-    # trapezoid rule against the endpoint states (w1 used the midpoint metric)
-    w_end = kinematic_rhs(v1, d1)
+    # trapezoid rule against the endpoint states (w1 used the midpoint
+    # metric); the next step reuses new_state.w as its own w0
     kin_res = float(
-        np.max(np.abs((h1.h_values - h0) / dt - 0.5 * (w0 + w_end)))
+        np.max(np.abs((h1.h_values - h0) / dt - 0.5 * (w0 + new_state.w)))
     )
 
     report = StepReport(

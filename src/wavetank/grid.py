@@ -153,6 +153,10 @@ def make_grid(n_y, n_z, length_y, depth_H, clustering="tanh", stretch_gamma=3.0)
     else:
         z = _tanh_nodes(n_z, depth_H, stretch_gamma)
     z[0], z[-1] = -depth_H, 0.0
+    if np.any(np.diff(z) <= 0):
+        raise ConfigurationError(
+            f"stretch_gamma = {stretch_gamma} makes z nodes coincide at n_z = {n_z}"
+        )
 
     w = np.empty(n_z)
     w[0] = 0.5 * (z[1] - z[0])
@@ -197,13 +201,6 @@ class Field:
     @property
     def components(self):
         return 1 if self.values.ndim == 2 else self.values.shape[0]
-
-    def component(self, k):
-        if self.values.ndim == 2:
-            if k != 0:
-                raise ConfigurationError("scalar field has a single component")
-            return self.values
-        return self.values[k]
 
 
 def horizontal_derivative_values(grid, values):

@@ -67,8 +67,6 @@ class CutoffSpec:
     finite differences.
     """
 
-    support = 2.0
-
     @staticmethod
     def _logistic(s):
         tau = 1.0 / (1.0 - s) - 1.0 / s
@@ -261,15 +259,15 @@ def grad_eta_sobolev_norm(h: SurfaceState, s):
     return float(np.sqrt(total * g.dy / g.n_y))
 
 
-def extension_gain_audit(grid, rng, n_samples=20, decay=2.0):
+def extension_gain_audit(grid, rng):
     """Measured constants of the half-derivative gain of the extension.
 
     Returns {s: max ratio |grad eta|_{H^s(S)} / |h|_{H^{s+1/2}}} for
-    s = 0, 1, 2 over a corpus of random surfaces with |h_hat| ~ kappa^-decay.
+    s = 0, 1, 2 over 20 random surfaces (random_surface).
     """
     worst = {s: 0.0 for s in (0, 1, 2)}
-    for _ in range(n_samples):
-        h = random_surface(grid, rng, amplitude=0.2, decay=decay)
+    for _ in range(20):
+        h = random_surface(grid, rng, amplitude=0.2)
         for s in worst:
             num = grad_eta_sobolev_norm(h, s)
             den = boundary_sobolev_norm(grid, h.h_values, s + 0.5)
@@ -278,14 +276,15 @@ def extension_gain_audit(grid, rng, n_samples=20, decay=2.0):
     return worst
 
 
-def random_surface(grid, rng, amplitude=1.0, decay=2.0, max_mode=None):
-    """Random real surface with |h_hat(kappa)| ~ kappa^-decay, zero mean."""
+def random_surface(grid, rng, amplitude, max_mode=None):
+    """Random real surface with |h_hat(kappa)| ~ kappa^-2, zero mean, scaled
+    to max |h| = amplitude."""
     n = grid.n_y
     if max_mode is None:
         max_mode = n // 3
     hat = np.zeros(n // 2 + 1, dtype=complex)
     ks = np.arange(1, max_mode + 1)
-    mags = ks.astype(float) ** (-decay)
+    mags = ks.astype(float) ** -2.0
     phases = rng.uniform(0.0, 2.0 * np.pi, size=ks.size)
     hat[1 : max_mode + 1] = mags * np.exp(1j * phases)
     h = np.fft.irfft(hat, n=n)

@@ -183,3 +183,10 @@ class TestCheckCommand:
             f"configuration error: n_y must be even and >= 8, got {n_y}\n"
         )
         assert not out.exists()
+
+    def test_coincident_grid_nodes_reported_before_output(self, tmp_path, capsys):
+        out = tmp_path / "chk"
+        code = run_cli("check", "--out", str(out), "--override", "stretch_gamma=40")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error: stretch_gamma")
+        assert not out.exists()

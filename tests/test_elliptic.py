@@ -8,6 +8,7 @@ from wavetank.elliptic import (
     _pcg,
     decompose_pressure,
     dirichlet_neumann,
+    dn_coercivity_ratio,
     dn_quadratic_form,
     qE_inner_split,
 )
@@ -20,7 +21,6 @@ from wavetank.grid import Field, l2_norm, make_grid
 from wavetank.operators import jacobian_phi
 from wavetank.surface import (
     Diffeomorphism,
-    boundary_sobolev_norm,
     build_diffeomorphism,
     random_surface,
     surface_from_values,
@@ -240,6 +240,12 @@ class TestDirichletNeumann:
         flux = dirichlet_neumann(d, np.ones(uniform_grid.n_y), tol=1e-12)
         assert np.max(np.abs(flux)) < 1e-10
 
+    @pytest.mark.parametrize("value", [0.0, 0.7])
+    def test_coercivity_ratio_rejects_constant_data(self, grid, rng, value):
+        d = random_valid_metric(grid, rng)
+        with pytest.raises(ConfigurationError, match="^f_b is constant"):
+            dn_coercivity_ratio(d, np.full(grid.n_y, value), 1e-12)
+
     def test_self_adjointness(self, grid, rng):
         d = random_valid_metric(grid, rng)
         for _ in range(5):
@@ -260,13 +266,7 @@ class TestDirichletNeumann:
                 d = build_diffeomorphism(h, A=None, c0=0.25)
                 f = r.standard_normal(g.n_y)
                 f -= f.mean()
-                quad = dn_quadratic_form(d, f, f, tol=1e-12)
-                w1inf = h.max_abs() + float(np.max(np.abs(h.slope())))
-                fh = np.fft.rfft(f)
-                fh *= g.wavenumbers / np.sqrt(1.0 + g.wavenumbers)
-                mult = np.fft.irfft(fh, n=g.n_y)
-                denom = (1.0 + w1inf) ** -2 * boundary_sobolev_norm(g, mult, 0.0) ** 2
-                worst = min(worst, quad / denom)
+                worst = min(worst, dn_coercivity_ratio(d, f, 1e-12))
             return worst
 
         g1 = make_grid(32, 40, 2.0 * np.pi, 2.0 * np.pi)

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from wavetank import evolution
 from wavetank.conormal import FieldHistory
-from wavetank.diagnostics import epsilon_sweep
+from wavetank.diagnostics import epsilon_sweep, layer_profile
 from wavetank.elliptic import (
     EllipticOperator,
     capillary_trace,
@@ -676,7 +676,7 @@ class TestStoredMetric:
         members = [s for t in sweep.trajectories.values() for s in t.states]
         for name, states in (("stored", traj.states), ("restored", restored),
                              ("sweep", members)):
-            for attr in ("d", "eta_t"):
+            for attr in ("d", "eta_t", "w"):
                 held = sum(attr in vars(s) for s in states)
                 assert held == 0, f"{held} of {len(states)} {name} states hold {attr}"
             for s in states:
@@ -706,6 +706,28 @@ class TestStoredMetric:
         steps = len(resumed.step_reports)
         assert resumed.failure is None and steps > 0
         assert len(calls) == 2 * steps + 2
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_two_steps_reuse_the_surface_rate(self, monkeypatch, eps):
+        # w = dt h of each state is computed once and serves the CFL guard,
+        # the predictor and the residual, and the next step reuses the new
+        # state's; the kick takes no gradient, as q is constant in z
+        calls = {"kinematic_rhs": 0, "gradient": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        st = standing_wave_state(make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi),
+                                 a=1e-2, eps=eps)
+        counted(evolution, "kinematic_rhs")
+        counted(evolution.MetricOps, "gradient")
+        advance(advance(st, 0.03)[0], 0.03)
+        assert calls == {"kinematic_rhs": 5, "gradient": 4}
 
     def test_memory_per_stored_output_is_the_state(self):
         # beyond v and h, one output keeps about 1.2 KB of objects (array
@@ -764,6 +786,13 @@ _NON_FINITE_CASES = {
 }
 
 
+# NaN fails an eps > 0 test without a word, and inf passes it
+_NON_FINITE_EPS = {
+    "decompose_pressure": lambda st, eps: decompose_pressure(st.v, st.d, eps, 1.0, 1.0),
+    "layer_profile": lambda st, eps: layer_profile(st, st, eps),
+}
+
+
 class TestValidation:
     def test_negative_parameters_rejected(self, wave_grid):
         with pytest.raises(ConfigurationError):
@@ -813,3 +842,10 @@ class TestValidation:
         # NaN fails every x <= 0 test, so each guard asks for finite and > 0
         with pytest.raises(ConfigurationError, match=f"^{key} must be finite and > 0"):
             _NON_FINITE_CASES[key](wave_grid)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", _NON_FINITE_EPS)
+    def test_non_finite_viscosity_named(self, wave_grid, call, eps):
+        st = standing_wave_state(wave_grid)
+        with pytest.raises(ConfigurationError, match="^eps must be finite"):
+            _NON_FINITE_EPS[call](st, eps)

