@@ -30,7 +30,6 @@ from .elliptic import (
     EllipticOperator,
     PressureSplit,
     decompose_pressure,
-    dirichlet_neumann,
     qE_inner_split,
 )
 from .evolution import (

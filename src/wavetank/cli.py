@@ -30,7 +30,7 @@ from .conormal import (
     random_smooth_field,
     trace_inequality_audit,
 )
-from .elliptic import dn_coercivity_ratio
+from .elliptic import EllipticOperator, dn_coercivity_ratio
 from .grid import Field
 from .surface import build_diffeomorphism, extension_gain_audit, random_surface
 from .persist import (
@@ -95,14 +95,12 @@ def cmd_run(config: SimulationConfig, out: Path):
 
 
 def cmd_sweep(config: SimulationConfig, out: Path):
-    eps_list = list(config.eps_list)
-    if not eps_list:
-        eps_list = [1e-2, 1e-3, 1e-4, 0.0]
-    state0 = initial_state(config, eps=eps_list[0])
-    dt = resolve_dt(state0, config.t_final, config.dt, config.cfl_factor)
+    # no stability limit reads eps, so the config's own state sets dt
+    dt = resolve_dt(initial_state(config), config.t_final, config.dt,
+                    config.cfl_factor)
     result = epsilon_sweep(
         lambda eps: initial_state(config, eps=eps),
-        eps_list,
+        config.eps_list,
         t_final=config.t_final,
         dt=dt,
         output_every=config.output_every,
@@ -147,10 +145,10 @@ def cmd_audit(config: SimulationConfig, out: Path):
     dn_cs = []
     for _ in range(10):
         h = random_surface(grid, rng, amplitude=0.05)
-        d = build_diffeomorphism(h, A=None, c0=config.c0)
+        op = EllipticOperator(build_diffeomorphism(h, A=None, c0=config.c0))
         f = rng.standard_normal(grid.n_y)
         f -= f.mean()
-        dn_cs.append(dn_coercivity_ratio(d, f, config.solver_tol))
+        dn_cs.append(dn_coercivity_ratio(op, f, config.solver_tol))
     rows.append(("dn_coercivity_min_c", min(dn_cs)))
 
     lines = ["constant,value"]

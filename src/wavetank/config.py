@@ -47,7 +47,7 @@ class SimulationConfig:
     output_every: int = 1
     snapshot_every: int = 0
     # sweep
-    eps_list: tuple = ()
+    eps_list: tuple = (1e-2, 1e-3, 1e-4, 0.0)
     # misc
     seed: int = 0
 
@@ -70,8 +70,8 @@ class SimulationConfig:
             raise ConfigurationError("solver_tol must be positive (key 'solver_tol')")
         if self.shear_delta <= 0:
             raise ConfigurationError("shear_delta must be positive (key 'shear_delta')")
-        if self.cfl_factor <= 0:
-            raise ConfigurationError("cfl_factor must be positive (key 'cfl_factor')")
+        if not 0 < self.cfl_factor <= 1:
+            raise ConfigurationError("cfl_factor must be in (0, 1] (key 'cfl_factor')")
         if self.dt is not None and self.dt <= 0:
             raise ConfigurationError("dt must be positive or auto (key 'dt')")
         if self.slope_A is not None and self.slope_A <= 0:

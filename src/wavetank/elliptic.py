@@ -1,19 +1,21 @@
 """Variable-coefficient elliptic Dirichlet solves and the pressure split.
 
-EllipticOperator(d) assembles one symmetric stiffness matrix per metric
-(divergence form, cell-averaged E), checks E positive definite once (det E
-= 1, so the check is min(dz_phi) > 0), and serves every Dirichlet solve on
-that metric through one conjugate-gradient loop under one iteration budget,
-CG_BUDGET.  The Dirichlet-Neumann operator is the weak boundary flux of the
-same matrix, so its discrete bilinear form is exactly symmetric.  Every CG
-solve, here and in the time stepper, is preconditioned by the exact inverse
-of its operator on the flat strip (h = 0), applied through flat_strip_solve:
-the iteration count depends on the surface's amplitude, not on the grid.
+EllipticOperator(d, bottom_condition) assembles one symmetric stiffness
+matrix per metric (divergence form, cell-averaged E), checks E positive
+definite once (det E = 1, so the check is min(dz_phi) > 0), and serves every
+Dirichlet solve on that metric through one conjugate-gradient loop under one
+iteration budget, CG_BUDGET.  Its Dirichlet-Neumann map is the weak boundary
+flux of the same matrix, so its discrete bilinear form is exactly symmetric.
+Every CG solve, here and in the time stepper, is preconditioned by the exact
+inverse of its operator on the flat strip (h = 0), applied through
+flat_strip_solve: the iteration count depends on the surface's amplitude, not
+on the grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import ConfigurationError, MetricValidityError, SolverFailureError
 from .grid import Field
@@ -105,49 +107,44 @@ def _checked(name, values, shape):
 
 
 class EllipticOperator:
-    """The stiffness of -div(E grad q) for one metric, reused across solves.
-    det E = 1, so E is positive definite exactly where dz_phi > 0."""
+    """The stiffness of -div(E grad q) for one metric and one bottom
+    condition, its free-node blocks and their flat-strip inverse, built once
+    and reused by every solve and Dirichlet-Neumann question on that metric.
+    det E = 1, so E is positive definite exactly where dz_phi > 0.
 
-    def __init__(self, d):
+    With c = A and b = 0 the stiffness is A (K_y x M_z) + (1/A) (M_y x K_z)
+    in the 1-D linear-element matrices: the circulant y factors have symbols
+    (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on the free z
+    nodes diagonalizes the z factors.
+    """
+
+    def __init__(self, d, bottom_condition="neumann_zero"):
+        if bottom_condition not in ("neumann_zero", "dirichlet_zero"):
+            raise ConfigurationError(
+                f"bottom condition must be neumann_zero or dirichlet_zero, "
+                f"got {bottom_condition!r}"
+            )
         lowest = float(np.min(d.dzphi.values))
         if lowest <= 0:
             raise MetricValidityError(
                 "coefficient matrix E is not positive definite", observed_min=lowest
             )
-        self.grid = d.grid
+        self.grid = g = d.grid
         self.d = d
         self.A = divergence_form_matrix(d)
-        self.top_idx = np.arange(d.grid.n_y) * d.grid.n_z + (d.grid.n_z - 1)
-        self._interior_cache = {}
+        self.top = slice(g.n_z - 1, None, g.n_z)
+        lo = 1 if bottom_condition == "dirichlet_zero" else 0
+        self._free = np.arange(g.n_y * g.n_z).reshape(g.shape)[:, lo:-1].ravel()
+        A_free = self.A[self._free]
+        self._A_ff = A_free[:, self._free].tocsr()
+        self._A_fd = A_free[:, self.top].tocsr()
+        K, M = linear_element_matrices(g.z_nodes)
+        lam, self._V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
+        cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
+        ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
+        self._denominator = d.A * ky + my * lam / d.A
 
-    def _interior(self, bottom_condition):
-        """(free, A_ff, A_fd, V, denominator): the free nodes, their blocks of
-        A and the exact inverse of A_ff on the flat strip for flat_strip_solve.
-
-        With c = A and b = 0 the stiffness is A (K_y x M_z) + (1/A) (M_y x K_z)
-        in the 1-D linear-element matrices: the circulant y factors have
-        symbols (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on
-        the free z nodes diagonalizes the z factors.
-        """
-        if bottom_condition not in self._interior_cache:
-            # local: only the FE solves use eigh; evolution's lapack import
-            # stays at module level, as lazily (70-90 ms) it lands in a timed step
-            from scipy.linalg import eigh
-            g = self.grid
-            lo = 1 if bottom_condition == "dirichlet_zero" else 0
-            free = np.arange(g.n_y * g.n_z).reshape(g.shape)[:, lo:-1].ravel()
-            A_ff = self.A[free][:, free].tocsr()
-            A_fd = self.A[free][:, self.top_idx].tocsr()
-            K, M = linear_element_matrices(g.z_nodes)
-            lam, V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
-            cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
-            ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
-            denominator = self.d.A * ky + my * lam / self.d.A
-            self._interior_cache[bottom_condition] = (free, A_ff, A_fd, V, denominator)
-        return self._interior_cache[bottom_condition]
-
-    def solve(self, dirichlet_top, tol, rhs=None, flux_rhs=None,
-              bottom_condition="neumann_zero"):
+    def solve(self, dirichlet_top, tol, rhs=None, flux_rhs=None):
         """Solve -div(E grad q) = rhs (+ div F) with q = dirichlet_top at z = 0;
         returns (solution array (n_y, n_z), iterations).
 
@@ -156,11 +153,6 @@ class EllipticOperator:
         """
         if not (np.isfinite(tol) and tol > 0):
             raise ConfigurationError(f"tolerance must be finite and > 0, got {tol}")
-        if bottom_condition not in ("neumann_zero", "dirichlet_zero"):
-            raise ConfigurationError(
-                f"bottom condition must be neumann_zero or dirichlet_zero, "
-                f"got {bottom_condition!r}"
-            )
         g = self.grid
         top = _checked("dirichlet_top", dirichlet_top, (g.n_y,))
         load = np.zeros(g.n_y * g.n_z)
@@ -170,12 +162,12 @@ class EllipticOperator:
         if flux_rhs is not None:
             load += flux_load(g, *_checked("flux_rhs", flux_rhs, (2,) + g.shape))
 
-        free, A_ff, A_fd, V, denominator = self._interior(bottom_condition)
         x = np.zeros(g.n_y * g.n_z)
-        x[self.top_idx] = top
-        b_f = load[free] - A_fd @ top
+        x[self.top] = top
+        b_f = load[self._free] - self._A_fd @ top
+        V, denominator = self._V, self._denominator
         sol_f, iters = _pcg(
-            A_ff.__matmul__,
+            self._A_ff.__matmul__,
             b_f,
             None,
             lambda r: flat_strip_solve(r.reshape(g.n_y, -1), V, denominator).ravel(),
@@ -183,50 +175,39 @@ class EllipticOperator:
             atol=max(tol * 1e-3, 1e-14),
             maxiter=CG_BUDGET,
         )
-        x[free] = sol_f
+        x[self._free] = sol_f
         return x.reshape(g.shape), iters
 
-    def boundary_flux(self, q_values):
-        """Weak conormal flux at z = 0, divided by dy to give nodal values.
+    # -- Dirichlet-Neumann operator -----------------------------------------
 
-        For a discrete solution of the homogeneous problem this is the
-        Dirichlet-Neumann image (grad f)^b . N.
+    def dirichlet_neumann(self, f_b, tol):
+        """G[h] f_b = (grad f)^b . N for the harmonic extension of f_b.
+
+        Harmonic in the physical domain means div(E grad f) = 0 on the strip;
+        the conormal flux of that problem at z = 0 is exactly (grad f)^b . N.
+        It is the weak flux of the discrete solution, A q on the top rows,
+        divided by dy to give nodal values.
         """
-        return (self.A @ np.ravel(q_values))[self.top_idx] / self.grid.dy
+        q, _ = self.solve(f_b, tol)
+        return (self.A @ q.ravel())[self.top] / self.grid.dy
+
+    def dn_quadratic_form(self, f_b, g_b, tol):
+        """(G[h] f, g) over the boundary with the periodic trapezoid rule."""
+        flux = self.dirichlet_neumann(f_b, tol)
+        return float(np.sum(flux * np.asarray(g_b, float)) * self.grid.dy)
 
 
-# ---------------------------------------------------------------------------
-# Dirichlet-Neumann operator
-
-def dirichlet_neumann(d, f_b, tol=1e-10):
-    """G[h] f_b = (grad f)^b . N for the harmonic extension of f_b.
-
-    Harmonic in the physical domain means div(E grad f) = 0 on the strip;
-    the conormal flux of that problem at z = 0 is exactly (grad f)^b . N.
-    Bottom closure is homogeneous Neumann.
-    """
-    op = EllipticOperator(d)
-    q, _ = op.solve(f_b, tol)
-    return op.boundary_flux(q)
-
-
-def dn_quadratic_form(d, f_b, g_b, tol=1e-10):
-    """(G[h] f, g) over the boundary with the periodic trapezoid rule."""
-    flux = dirichlet_neumann(d, f_b, tol=tol)
-    return float(np.sum(flux * np.asarray(g_b, float)) * d.grid.dy)
-
-
-def dn_coercivity_ratio(d, f_b, tol):
-    """(G[h] f, f) / ((1 + |h|_{W^{1,inf}})^{-2} |Lambda f|^2), the DN
-    coercivity constant measured on f = f_b, with the Fourier multiplier
-    Lambda = |grad| (1 + |grad|)^{-1/2}."""
-    g = d.grid
+def dn_coercivity_ratio(op, f_b, tol):
+    """(G[h] f, f) / ((1 + |h|_{W^{1,inf}})^{-2} |Lambda f|^2), the coercivity
+    constant of the DN map of op measured on f = f_b, with the Fourier
+    multiplier Lambda = |grad| (1 + |grad|)^{-1/2}."""
+    d, g = op.d, op.grid
     fh = np.fft.rfft(np.asarray(f_b, float))
     fh *= g.wavenumbers / np.sqrt(1.0 + g.wavenumbers)
     lam_f = boundary_sobolev_norm(g, np.fft.irfft(fh, n=g.n_y), 0.0)
     if lam_f == 0:
         raise ConfigurationError("f_b is constant, so Lambda f_b = 0")
-    quad = dn_quadratic_form(d, f_b, f_b, tol=tol)
+    quad = op.dn_quadratic_form(f_b, f_b, tol)
     w1inf = d.h.max_abs() + float(np.max(np.abs(d.h.slope())))
     return quad / ((1.0 + w1inf) ** -2 * lam_f ** 2)
 

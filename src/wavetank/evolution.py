@@ -107,16 +107,11 @@ class SolverOps:
         self.dz_sbp, self.dz_sbp_t = _block_diagonal(D, ny)
         self.dz_3pt, self.dz_3pt_t = _block_diagonal(D3, ny)
         self.grid = grid
-        self.n = n
-        idx = np.arange(ny) * nz
-        self.bottom_idx = idx
-        self.top_idx = idx + (nz - 1)
-        # bottom rows of both components of a stacked (2n) velocity
-        self.no_slip_idx = np.concatenate([idx, idx + n])
-        interior = np.ones(n, dtype=bool)
-        interior[self.bottom_idx] = False
-        interior[self.top_idx] = False
-        self.interior_mask = interior
+        # the surface and bottom rows of a flattened field; n_y n_z is a
+        # multiple of n_z, so bottom also covers both components of a
+        # stacked (2n) velocity
+        self.top = slice(nz - 1, None, nz)
+        self.bottom = slice(0, None, nz)
         self.weights = dual_areas(grid).ravel()
 
         # sigma_k = 0 exactly at the Nyquist mode, which dy_c annihilates
@@ -227,9 +222,9 @@ class MetricOps:
     amplitude, not on the grid size.
     """
 
-    def __init__(self, grid, d):
-        ops = solver_ops(grid)
-        self.grid = grid
+    def __init__(self, d):
+        ops = solver_ops(d.grid)
+        self.grid = d.grid
         self.ops = ops
         self.A = d.A
         self.c = d.dzphi.values.ravel()
@@ -269,11 +264,11 @@ class MetricOps:
         ops = self.ops
         alpha, beta, gamma = self._gram_coefficients
         x = psi.copy()
-        x[ops.top_idx] = 0.0
+        x[ops.top] = 0.0
         gz, gy = ops.dz_sbp @ x, ops.dy_c @ x
         out = ops.dz_sbp_t @ (alpha * gz - beta * gy)
         out -= ops.dy_c @ (gamma * gy - beta * gz)
-        out[ops.top_idx] = psi[ops.top_idx]
+        out[ops.top] = psi[ops.top]
         return out
 
     def _solve(self, operator, rhs, x0, precondition):
@@ -299,7 +294,7 @@ class MetricOps:
         ops = self.ops
         rhs = self._pair_t(ops.dz_sbp_t, self.wc * np.ravel(v[0]),
                            self.wc * np.ravel(v[1]))
-        rhs[ops.top_idx] = 0.0
+        rhs[ops.top] = 0.0
         A = self.A
         psi, iters = self._solve(
             self.gram, rhs, None, lambda r: ops.flat_gram_solve(r, A)
@@ -311,11 +306,12 @@ class MetricOps:
 
     def divergence_residual(self, v):
         """L2 norm (plain weights) of the solver divergence on interior rows."""
-        ops = self.ops
+        ops, shape = self.ops, self.grid.shape
         v1, v2 = np.ravel(v[0]), np.ravel(v[1])
         div = (ops.dy_c @ (self.c * v1) + ops.dz_sbp @ (v2 - self.b * v1)) / self.c
-        mask = ops.interior_mask
-        return float(np.sqrt(np.sum(ops.weights[mask] * div[mask] ** 2)))
+        w = ops.weights.reshape(shape)[:, 1:-1].ravel()
+        div = div.reshape(shape)[:, 1:-1].ravel()
+        return float(np.sqrt(np.sum(w * div ** 2)))
 
     # -- viscous strain form ------------------------------------------------
 
@@ -341,11 +337,10 @@ class MetricOps:
     def viscous_operator(self, u, eps, dt):
         """(M + 2 eps dt K) u on the stacked (2n) velocity, no-slip bottom
         rows pinned (identity rows)."""
-        n = self.ops.n
-        bottom = self.ops.no_slip_idx
+        bottom = self.ops.bottom
         x = u.copy()
         x[bottom] = 0.0
-        k1, k2 = self._strain_form(x[:n], x[n:])
+        k1, k2 = self._strain_form(*x.reshape(2, -1))
         out = self._stacked_mass * x
         out += 2.0 * eps * dt * np.concatenate([k1, k2])
         out[bottom] = u[bottom]
@@ -363,9 +358,9 @@ class MetricOps:
         ops = self.ops
         u = np.ravel(v)
         rhs = self._stacked_mass * u
-        rhs[ops.no_slip_idx] = 0.0
+        rhs[ops.bottom] = 0.0
         x0 = u.copy()
-        x0[ops.no_slip_idx] = 0.0
+        x0[ops.bottom] = 0.0
         A, tau = self.A, 2.0 * eps * dt
         sol, iters = self._solve(
             lambda x: self.viscous_operator(x, eps, dt),
@@ -376,9 +371,9 @@ class MetricOps:
         return sol.reshape(2, *self.grid.shape), iters
 
 
-def metric_ops(grid, d) -> MetricOps:
+def metric_ops(d) -> MetricOps:
     """The solver operator set of one metric, built afresh on every call."""
-    return MetricOps(grid, d)
+    return MetricOps(d)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +467,7 @@ def make_flow_state(grid, h_values, v_values, t=0.0, eps=0.0, g=1.0, sigma=1.0,
     if v.shape != (2, grid.n_y, grid.n_z):
         raise ConfigurationError(f"velocity shape {v.shape} != (2, n_y, n_z)")
     if project:
-        mops = metric_ops(grid, d)
-        v = mops.project(v)
+        v = metric_ops(d).project(v)
     state = FlowState(
         t=float(t), v=Field(grid, v), h=h,
         eps=float(eps), g=float(g), sigma=float(sigma), A=d.A, c0=float(c0),
@@ -500,10 +494,11 @@ def check_compatibility(state: FlowState):
 
 
 def cfl_dt(state: FlowState, cfl_factor=0.5):
-    """Stability bound: advective, capillary, and gravity-wave limits."""
-    if not (math.isfinite(cfl_factor) and cfl_factor > 0):
+    """Stability bound: advective, capillary, and gravity-wave limits, times
+    a cfl_factor in (0, 1] (advance refuses a dt above the bound at 1)."""
+    if not (math.isfinite(cfl_factor) and 0 < cfl_factor <= 1):
         raise ConfigurationError(
-            f"cfl_factor must be finite and > 0, got {cfl_factor}"
+            f"cfl_factor must be finite and > 0 and at most 1, got {cfl_factor}"
         )
     grid = state.v.grid
     v = state.v.values
@@ -559,7 +554,7 @@ def advance(state: FlowState, dt: float):
 
     # (ii) rebuild the flattening map at the midpoint surface
     d_half = build_diffeomorphism(h_half, A=state.A, c0=state.c0)
-    mops = metric_ops(grid, d_half)
+    mops = metric_ops(d_half)
 
     # (iii) explicit advection in the V_z form
     b = d_half.grad_y_phi.values
@@ -600,7 +595,7 @@ def advance(state: FlowState, dt: float):
     # final metric and re-projection so the new state is solenoidal
     # against its own metric
     d1 = build_diffeomorphism(h1, A=state.A, c0=state.c0)
-    mops1 = metric_ops(grid, d1)
+    mops1 = metric_ops(d1)
     v1, iters_p2 = mops1.project(v_proj, return_iterations=True)
 
     new_state = _with_metric(
@@ -664,7 +659,7 @@ def energy_report(state: FlowState) -> EnergyReport:
     )
     dissipation = 0.0  # the Euler limit builds no solver operators
     if state.eps > 0:
-        dissipation = metric_ops(grid, state.d).strain_dissipation(v, state.eps)
+        dissipation = metric_ops(state.d).strain_dissipation(v, state.eps)
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,

@@ -165,6 +165,8 @@ def build_diffeomorphism(h: SurfaceState, A, c0):
         A = max(1.0, 2.0 * float(np.max(np.abs(dz_eta))))
     if not (np.isfinite(A) and A > 0):
         raise ConfigurationError(f"extension slope A must be finite and > 0, got {A}")
+    if c0 > A:  # dz_eta has mean 0 in y, so min(dz_phi) <= A for every h
+        raise ConfigurationError(f"c0 = {c0} exceeds the extension slope A = {A}")
     dzphi = A + dz_eta
     observed = float(np.min(dzphi))
     if observed < c0:

@@ -124,6 +124,43 @@ class TestSweepCommand:
         status = json.loads((out / "status.json").read_text())
         assert status["status"] == "ok"
 
+    def test_default_viscosities_are_declared(self, tmp_path, capsys):
+        # the effective config names the four members a default sweep runs;
+        # an explicit empty list is refused, not replaced
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--out", str(out), *BASE[:4],
+            "--override", "t_final=0.06", "--override", "dt=0.02",
+        )
+        assert code == 0
+        assert "eps_list = 0.01,0.001,0.0001,0.0\n" in (
+            out / "effective_config.txt").read_text()
+        assert len((out / "sweep.csv").read_text().splitlines()) == 5
+        empty = tmp_path / "empty"
+        code = run_cli("sweep", "--out", str(empty), "--override", "eps_list=",
+                       *BASE)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ConfigurationError: sweep needs at least three viscosities\n"
+        )
+
+    def test_failed_reference_member_reported(self, tmp_path, capsys):
+        # dt = 5 breaks the stability limit in every member, the eps = 0
+        # reference too: nothing is compared and every row is nan
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--out", str(out), *BASE[:4],
+                       "--override", "dt=5")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "WavetankError: sweep members failed: 0.01, 0.001, 0.0001, 0\n"
+        )
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.01", "0.001", "0.0001",
+                                                       "0.0"]
+        for row in rows:
+            assert row.split(",")[1:] == ["nan"] * 5 + ["1"]
+        assert json.loads((out / "status.json").read_text())["status"] == "error"
+
 
 class TestAuditCommand:
     def test_audit_table(self, tmp_path, capsys):
@@ -183,6 +220,28 @@ class TestCheckCommand:
             f"configuration error: n_y must be even and >= 8, got {n_y}\n"
         )
         assert not out.exists()
+
+    def test_floor_above_extension_slope_named(self, tmp_path, capsys):
+        # a flat surface meets c0 = A = 1 and no surface meets c0 > A
+        code = run_cli("check", "--out", str(tmp_path / "chk"), *BASE[:4],
+                       "--override", "preset=equilibrium", "--override", "c0=1.5")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ConfigurationError: c0 = 1.5 exceeds the extension slope A = 1.0\n"
+        )
+
+    def test_cfl_factor_above_one_reported_before_output(self, tmp_path, capsys):
+        # the step's guard is the limit at cfl_factor 1 on the same state
+        out = tmp_path / "chk"
+        code = run_cli("check", "--out", str(out), "--override", "cfl_factor=1.2")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: cfl_factor must be in (0, 1] (key 'cfl_factor')\n"
+        )
+        assert not out.exists()
+        code = run_cli("check", "--out", str(out), "--override", "cfl_factor=1")
+        assert code == 0
+        assert "resolved dt: 0.0473596\n" in capsys.readouterr().out
 
     def test_coincident_grid_nodes_reported_before_output(self, tmp_path, capsys):
         out = tmp_path / "chk"

@@ -106,12 +106,13 @@ class TestParseConfig:
             key = doc.split(" =")[0]
             assert message in str(excinfo.value)
             assert f"key '{key}'" in str(excinfo.value)
-        # non-finite values, a non-finite sweep entry, a non-positive CFL
-        # factor and a non-positive shear decay length are each rejected by
+        # non-finite values, a non-finite sweep entry, a CFL factor outside
+        # (0, 1] and a non-positive shear decay length are each rejected by
         # key, before any run starts
         for doc in ("t_final = nan\n", "eps = inf\n", "amplitude = nan\n",
                     "dt = nan\n", "slope_A = inf\n", "cfl_factor = -1\n",
-                    "cfl_factor = 0\n", "cfl_factor = nan\n", "shear_delta = 0\n",
+                    "cfl_factor = 0\n", "cfl_factor = nan\n", "cfl_factor = 1.2\n",
+                    "shear_delta = 0\n",
                     "eps_list = 0.01,nan\n", "eps_list = inf\n", "seed = -1\n"):
             with pytest.raises(ConfigurationError) as excinfo:
                 parse_config(doc)
@@ -208,6 +209,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             restore_checkpoint(bad_version)
 
+        # header slots: 2 header size, 11 clustering code
+        from wavetank.grid import CLUSTERINGS
+        from wavetank.persist import _HEADER
+
+        header = _HEADER.unpack(bytes(raw[:_HEADER.size]))
+        for slot, value, message in ((2, _HEADER.size + 8, "header size mismatch"),
+                                     (11, len(CLUSTERINGS), "unknown clustering")):
+            fields = list(header)
+            fields[slot] = value
+            bad = tmp_path / f"slot_{slot}.wtk"
+            bad.write_bytes(_HEADER.pack(*fields) + bytes(raw[_HEADER.size:]))
+            with pytest.raises(CheckpointError, match=message):
+                restore_checkpoint(bad)
+
     def test_invalid_state_rejected(self, tmp_path):
         # a header or payload that parses but rebuilds no valid grid or state
         import struct
@@ -226,11 +241,13 @@ class TestCheckpoint:
             fields[slot] = value
             return _HEADER.pack(*fields) + raw[_HEADER.size:]
 
-        # header slots: 5 length_y, 7 t, 8 eps, 13 A, 14 c0
+        # header slots: 5 length_y, 7 t, 8 eps, 13 A, 14 c0; the stored A
+        # is 1, which no floor c0 above it can meet
         cases = {
             "nan_payload": raw[:-8] + struct.pack("<d", float("nan")),
             "length_y": with_header(5, -1.0),
             "c0": with_header(14, 0.0),
+            "c0 above A": with_header(14, 1.5),
             "eps": with_header(8, -1.0),
             "t": with_header(7, float("nan")),
             "A": with_header(13, float("nan")),

@@ -168,7 +168,7 @@ class TestSnReconstruction:
                 vertical_derivative_values(g, psi),
                 -horizontal_derivative_values(g, psi),
             ])
-            v = metric_ops(g, d).project(raw)
+            v = metric_ops(d).project(raw)
             gaps.append(sn_reconstruction_audit(Field(g, v), d))
         assert gaps[1] < gaps[0] / 1.8
 

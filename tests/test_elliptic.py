@@ -3,13 +3,12 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
+from wavetank import elliptic
 from wavetank.elliptic import (
     EllipticOperator,
     _pcg,
     decompose_pressure,
-    dirichlet_neumann,
     dn_coercivity_ratio,
-    dn_quadratic_form,
     qE_inner_split,
 )
 from wavetank.errors import (
@@ -41,8 +40,8 @@ class TestSolveElliptic:
             g = make_grid(n, n, 2.0 * np.pi, 2.0, clustering="uniform")
             d = flat_diffeo(g)
             k = 2
-            q, _ = EllipticOperator(d).solve(
-                np.cos(k * g.y_nodes), 1e-11, bottom_condition="dirichlet_zero"
+            q, _ = EllipticOperator(d, "dirichlet_zero").solve(
+                np.cos(k * g.y_nodes), 1e-11
             )
             exact = (
                 np.cos(k * g.y_nodes)[:, None]
@@ -78,11 +77,10 @@ class TestSolveElliptic:
             g = make_grid(n, n, 2.0 * np.pi, H, clustering="uniform")
             d = analytic_metric(g, delta=delta)
             Y, Z = g.y_nodes[:, None], g.z_nodes[None, :]
-            q, _ = EllipticOperator(d).solve(
+            q, _ = EllipticOperator(d, "dirichlet_zero").solve(
                 q_fn(Y, Z)[:, -1],
                 1e-11,
                 rhs=rhs_fn(Y, Z) * np.ones(g.shape),
-                bottom_condition="dirichlet_zero",
             )
             errors.append(l2_norm(g, q - q_fn(Y, Z) * np.ones(g.shape)))
         assert np.log2(errors[0] / errors[1]) > 1.8
@@ -136,10 +134,10 @@ class TestSolveElliptic:
         assert info.value.observed_min == lowest
 
     def test_bad_tolerance_or_bottom(self, grid, flat_metric):
+        with pytest.raises(ConfigurationError):
+            EllipticOperator(flat_metric, "robin")
         op = EllipticOperator(flat_metric)
         top = np.zeros(grid.n_y)
-        with pytest.raises(ConfigurationError):
-            op.solve(top, 1e-10, bottom_condition="robin")
         for tol in (0.0, -1e-10):
             with pytest.raises(ConfigurationError):
                 op.solve(top, tol)
@@ -190,7 +188,7 @@ class TestFlatStripPreconditioner:
         d = build_diffeomorphism(
             surface_from_values(g, np.zeros(g.n_y)), A=A, c0=0.5
         )
-        op = EllipticOperator(d)
+        op = EllipticOperator(d, bottom)
         problems = (
             dict(dirichlet_top=rng.standard_normal(g.n_y)),
             dict(dirichlet_top=np.zeros(g.n_y), rhs=rng.standard_normal(g.shape)),
@@ -200,7 +198,7 @@ class TestFlatStripPreconditioner:
             ),
         )
         for data in problems:
-            _, iters = op.solve(tol=1e-10, bottom_condition=bottom, **data)
+            _, iters = op.solve(tol=1e-10, **data)
             assert iters == 1
 
     @pytest.mark.parametrize("amplitude", [0.05, 0.2])
@@ -213,9 +211,7 @@ class TestFlatStripPreconditioner:
             g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
             d = random_valid_metric(g, np.random.default_rng(4), amplitude=amplitude)
             top = np.cos(g.y_nodes) + 0.5 * np.sin(5.0 * g.y_nodes)
-            _, iters = EllipticOperator(d).solve(
-                top, 1e-10, bottom_condition=bottom
-            )
+            _, iters = EllipticOperator(d, bottom).solve(top, 1e-10)
             counts.append(iters)
         assert max(counts) <= 12, counts
         assert counts[2] <= counts[0] + 1 and counts[1] <= counts[0] + 1, counts
@@ -226,9 +222,9 @@ class TestDirichletNeumann:
         rel_errors = {}
         for n in (32, 64):
             g = make_grid(n, n, 2.0 * np.pi, 2.0, clustering="uniform")
-            d = flat_diffeo(g)
+            op = EllipticOperator(flat_diffeo(g))
             for k in (1, 2):
-                flux = dirichlet_neumann(d, np.cos(k * g.y_nodes), tol=1e-12)
+                flux = op.dirichlet_neumann(np.cos(k * g.y_nodes), 1e-12)
                 exact = k * np.tanh(k * g.depth_H) * np.cos(k * g.y_nodes)
                 rel_errors[(n, k)] = np.max(np.abs(flux - exact)) / k
         for k in (1, 2):
@@ -237,24 +233,41 @@ class TestDirichletNeumann:
 
     def test_constant_data_zero_flux(self, uniform_grid):
         d = flat_diffeo(uniform_grid)
-        flux = dirichlet_neumann(d, np.ones(uniform_grid.n_y), tol=1e-12)
+        flux = EllipticOperator(d).dirichlet_neumann(np.ones(uniform_grid.n_y), 1e-12)
         assert np.max(np.abs(flux)) < 1e-10
+
+    def test_one_assembly_answers_every_question(self, grid, rng, monkeypatch):
+        # a solve, the DN map, its form and its coercivity ratio on one
+        # metric all read the one stiffness matrix the operator assembled
+        calls = []
+        assemble = elliptic.divergence_form_matrix
+        monkeypatch.setattr(elliptic, "divergence_form_matrix",
+                            lambda d: calls.append(d) or assemble(d))
+        op = EllipticOperator(random_valid_metric(grid, rng))
+        f = rng.standard_normal(grid.n_y)
+        f -= f.mean()
+        op.solve(f, 1e-10)
+        flux = op.dirichlet_neumann(f, 1e-10)
+        form = op.dn_quadratic_form(f, f, 1e-10)
+        assert form == float(np.sum(flux * f) * grid.dy)
+        assert dn_coercivity_ratio(op, f, 1e-10) > 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", [0.0, 0.7])
     def test_coercivity_ratio_rejects_constant_data(self, grid, rng, value):
-        d = random_valid_metric(grid, rng)
+        op = EllipticOperator(random_valid_metric(grid, rng))
         with pytest.raises(ConfigurationError, match="^f_b is constant"):
-            dn_coercivity_ratio(d, np.full(grid.n_y, value), 1e-12)
+            dn_coercivity_ratio(op, np.full(grid.n_y, value), 1e-12)
 
     def test_self_adjointness(self, grid, rng):
-        d = random_valid_metric(grid, rng)
+        op = EllipticOperator(random_valid_metric(grid, rng))
         for _ in range(5):
             f = rng.standard_normal(grid.n_y)
             g2 = rng.standard_normal(grid.n_y)
             f -= f.mean()
             g2 -= g2.mean()
-            ab = dn_quadratic_form(d, f, g2, tol=1e-13)
-            ba = dn_quadratic_form(d, g2, f, tol=1e-13)
+            ab = op.dn_quadratic_form(f, g2, 1e-13)
+            ba = op.dn_quadratic_form(g2, f, 1e-13)
             assert abs(ab - ba) < 1e-9 * max(abs(ab), 1.0)
 
     def test_coercivity_positive_stable(self):
@@ -263,10 +276,10 @@ class TestDirichletNeumann:
             for seed in seeds:
                 r = np.random.default_rng(seed)
                 h = random_surface(g, r, amplitude=0.06, max_mode=6)
-                d = build_diffeomorphism(h, A=None, c0=0.25)
+                op = EllipticOperator(build_diffeomorphism(h, A=None, c0=0.25))
                 f = r.standard_normal(g.n_y)
                 f -= f.mean()
-                worst = min(worst, dn_coercivity_ratio(d, f, 1e-12))
+                worst = min(worst, dn_coercivity_ratio(op, f, 1e-12))
             return worst
 
         g1 = make_grid(32, 40, 2.0 * np.pi, 2.0 * np.pi)

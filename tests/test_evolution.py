@@ -124,6 +124,24 @@ class TestCfl:
         dt2 = cfl_dt(st2)
         assert abs(dt1 / dt2 - 2.0) < 1e-9
 
+    def test_no_limit_at_rest_gives_a_hundredth_of_the_span(self, wave_grid):
+        # at rest with g = sigma = 0 no limit applies: cfl_dt is inf
+        g = wave_grid
+        st = make_flow_state(g, np.zeros(g.n_y), np.zeros((2, g.n_y, g.n_z)),
+                             g=0.0, sigma=0.0)
+        assert cfl_dt(st) == np.inf
+        assert evolution.resolve_dt(st, 2.0, None, 0.5) == 0.02
+        assert evolution.resolve_dt(st, 2.0, 0.3, 0.5) == 0.3
+
+    def test_factor_above_one_refused(self, wave_grid):
+        # advance guards with the limit at factor 1 on the same state
+        st = standing_wave_state(wave_grid)
+        assert cfl_dt(st, cfl_factor=1.0) > 0
+        with pytest.raises(ConfigurationError, match="^cfl_factor must be"):
+            cfl_dt(st, cfl_factor=1.2)
+        with pytest.raises(ConfigurationError, match="^cfl_factor must be"):
+            evolution.resolve_dt(st, 1.0, None, 1.2)
+
     def test_oversized_step_rejected(self, wave_grid):
         st = standing_wave_state(wave_grid)
         with pytest.raises(StepSizeError):
@@ -263,7 +281,7 @@ class TestStepInvariants:
         for _ in range(3):
             d = random_valid_metric(grid, rng)
             v = smooth_vector(grid, rng)
-            mops = metric_ops(grid, d)
+            mops = metric_ops(d)
             q_fe = decompose_pressure(v, d, eps, g_grav, sigma).q_total.values
             q_top = (
                 g_grav * d.h.h_values
@@ -353,7 +371,7 @@ class TestMatrixFreeOperators:
 
     @pytest.fixture
     def assembled(self, grid, curved_metric):
-        mops = metric_ops(grid, curved_metric)
+        mops = metric_ops(curved_metric)
         ops = mops.ops
         c = curved_metric.dzphi.values.ravel()
         b = curved_metric.grad_y_phi.values.ravel()
@@ -364,33 +382,38 @@ class TestMatrixFreeOperators:
         D1 = inv_c @ (ops.dy_c @ sp.diags(c) - ops.dz_sbp @ sp.diags(b))
         A1 = ops.dy_c - sp.diags(b / c) @ ops.dz_3pt
         A2 = inv_c @ ops.dz_3pt
-        Z = sp.csr_matrix((ops.n, ops.n))
+        n = grid.n_y * grid.n_z
+        Z = sp.csr_matrix((n, n))
         S11 = sp.hstack([A1, Z])
         S22 = sp.hstack([Z, A2])
         S12 = 0.5 * sp.hstack([A2, A1])
         K = S11.T @ Wc @ S11 + S22.T @ Wc @ S22 + 2.0 * (S12.T @ Wc @ S12)
+        # node j * n_z + i is row i of column j: the surface is i = n_z - 1
+        node = np.arange(n).reshape(grid.shape)
         return dict(
             mops=mops, ops=ops, Wc=Wc, G1=G1, G2=G2, D1=D1,
-            S=(S11, S12, S22), K=K,
+            S=(S11, S12, S22), K=K, n=n, top=node[:, -1], bottom=node[:, 0],
+            interior=node[:, 1:-1].ravel(),
         )
 
     def test_gradient_and_gram(self, grid, assembled, rng):
         mops, ops = assembled["mops"], assembled["ops"]
         G1, G2, Wc = assembled["G1"], assembled["G2"], assembled["Wc"]
-        q = rng.standard_normal(ops.n)
+        q = rng.standard_normal(assembled["n"])
         grad = mops.gradient(q.reshape(grid.shape))
         assert _rel_gap(grad[0].ravel(), G1 @ q) < 1e-12
         assert _rel_gap(grad[1].ravel(), G2 @ q) < 1e-12
-        P = _pinned(G1.T @ Wc @ G1 + G2.T @ Wc @ G2, ops.top_idx)
+        P = _pinned(G1.T @ Wc @ G1 + G2.T @ Wc @ G2, assembled["top"])
         assert _rel_gap(mops.gram(q), P @ q) < 1e-12
 
     def test_viscous_operator(self, assembled, rng):
         mops, ops = assembled["mops"], assembled["ops"]
         eps, dt = 1e-2, 0.05
+        n, bottom = assembled["n"], assembled["bottom"]
         mass = sp.diags(np.tile(mops.c * ops.weights, 2))
-        bottom = np.concatenate([ops.bottom_idx, ops.bottom_idx + ops.n])
-        M = _pinned(mass + 2.0 * eps * dt * assembled["K"], bottom)
-        u = rng.standard_normal(2 * ops.n)
+        M = _pinned(mass + 2.0 * eps * dt * assembled["K"],
+                    np.concatenate([bottom, bottom + n]))
+        u = rng.standard_normal(2 * n)
         assert _rel_gap(mops.viscous_operator(u, eps, dt), M @ u) < 1e-12
 
     def test_divergence_and_dissipation(self, grid, assembled, rng):
@@ -398,8 +421,8 @@ class TestMatrixFreeOperators:
         v = rng.standard_normal((2,) + grid.shape)
         v1, v2 = v[0].ravel(), v[1].ravel()
         div = assembled["D1"] @ v1 + assembled["G2"] @ v2
-        mask = ops.interior_mask
-        ref = np.sqrt(np.sum(ops.weights[mask] * div[mask] ** 2))
+        interior = assembled["interior"]
+        ref = np.sqrt(np.sum(ops.weights[interior] * div[interior] ** 2))
         assert abs(mops.divergence_residual(v) - ref) < 1e-12 * ref
         u = np.concatenate([v1, v2])
         w = mops.c * ops.weights
@@ -411,7 +434,7 @@ class TestMatrixFreeOperators:
 
 
 def _solve_iterations(grid, d, rng):
-    mops = metric_ops(grid, d)
+    mops = metric_ops(d)
     v = rng.standard_normal((2,) + grid.shape)
     _, it_proj = mops.project(v, return_iterations=True)
     _, it_visc = mops.viscous_solve(v, 1e-2, 0.05)
@@ -546,8 +569,8 @@ class TestPreconditionedSolves:
             assert max(_solve_iterations(grid, d, rng)) <= 2
 
     def test_failed_band_factorization_is_a_solver_failure(self, grid, rng):
-        ops = metric_ops(grid, random_valid_metric(grid, rng)).ops
-        r = rng.standard_normal(2 * ops.n)
+        ops = metric_ops(random_valid_metric(grid, rng)).ops
+        r = rng.standard_normal(2 * grid.n_y * grid.n_z)
         with pytest.raises(SolverFailureError):
             ops.flat_viscous_solve(r, 1.0, -1e3)  # W - 1e3 K is indefinite
 
@@ -563,7 +586,7 @@ class TestPreconditionedSolves:
     def test_flat_gram_spectra_follow_A(self, grid, rng):
         # the stored denominators are rebuilt when A changes and back
         ops = evolution.SolverOps(grid)
-        r = rng.standard_normal(ops.n)
+        r = rng.standard_normal(grid.n_y * grid.n_z)
         for A in (1.0, 1.7, 1.0):
             fresh = evolution.SolverOps(grid).flat_gram_solve(r, A)
             assert np.array_equal(ops.flat_gram_solve(r, A), fresh)
@@ -592,19 +615,19 @@ class TestSolveWork:
 
     def test_projection(self, grid, curved_metric, rng, calls):
         v = rng.standard_normal((2,) + grid.shape)
-        _, k = metric_ops(grid, curved_metric).project(v, return_iterations=True)
+        _, k = metric_ops(curved_metric).project(v, return_iterations=True)
         assert k > 0
         assert calls["gram"] == calls["flat_gram_solve"] == k
         assert calls["viscous_operator"] == calls["flat_viscous_solve"] == 0
 
     def test_viscous_solve(self, grid, curved_metric, rng, calls):
         v = rng.standard_normal((2,) + grid.shape)
-        _, k = metric_ops(grid, curved_metric).viscous_solve(v, 1e-2, 0.05)
+        _, k = metric_ops(curved_metric).viscous_solve(v, 1e-2, 0.05)
         assert k > 0
         assert (calls["viscous_operator"], calls["flat_viscous_solve"]) == (k + 1, k)
 
     def test_zero_data_returns_at_once(self, grid, curved_metric, calls):
-        mops = metric_ops(grid, curved_metric)
+        mops = metric_ops(curved_metric)
         zero = np.zeros((2,) + grid.shape)
         assert mops.project(zero, return_iterations=True)[1] == 0
         assert mops.viscous_solve(zero, 1e-2, 0.05)[1] == 0
@@ -639,8 +662,8 @@ class TestStoredOutputs:
         # it at each step and output must be free once they are used
         built = []
 
-        def recording_metric_ops(grid, d):
-            mops = metric_ops(grid, d)
+        def recording_metric_ops(d):
+            mops = metric_ops(d)
             built.append(weakref.ref(mops))
             return mops
 
@@ -836,6 +859,13 @@ class TestValidation:
         st = standing_wave_state(wave_grid)
         with pytest.raises(ConfigurationError):
             run(st, t_final=t_final, dt=dt)
+
+    @pytest.mark.parametrize("t_final", [0.5, 0.3])
+    def test_run_rejects_end_not_after_start(self, wave_grid, t_final):
+        # both t_final and dt are finite and > 0: only the start time refuses
+        st = dataclasses.replace(standing_wave_state(wave_grid), t=0.5)
+        with pytest.raises(ConfigurationError, match="^t_final must exceed"):
+            run(st, t_final=t_final, dt=0.1)
 
     @pytest.mark.parametrize("key", _NON_FINITE_CASES)
     def test_non_finite_argument_named(self, wave_grid, key):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank import grid as grid_module
-from wavetank.errors import MetricValidityError
+from wavetank.errors import ConfigurationError, MetricValidityError
 from wavetank.grid import make_grid, vertical_derivative_values
 from wavetank.surface import (
     CutoffSpec,
@@ -148,6 +148,19 @@ class TestBuildDiffeomorphism:
         d1 = build_diffeomorphism(h, A=1.0, c0=0.2)
         d2 = build_diffeomorphism(h, A=2.5, c0=0.2)
         assert abs((d2.c0_observed - d1.c0_observed) - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3])
+    def test_floor_above_extension_slope_rejected(self, grid, amplitude):
+        # d_z eta has mean 0 in y, so min(dz_phi) <= A on every surface and
+        # a floor c0 > A is unmeetable: a configuration error, not a steep
+        # surface; c0 = A is met by the flat surface
+        h = surface_from_values(grid, amplitude * np.cos(grid.y_nodes))
+        for A in (1.0, None):
+            with pytest.raises(ConfigurationError,
+                               match="^c0 = 1.5 exceeds the extension slope A = "):
+                build_diffeomorphism(h, A=A, c0=1.5)
+        if amplitude == 0.0:
+            assert build_diffeomorphism(h, A=1.0, c0=1.0).c0_observed == 1.0
 
     def test_auto_slope_gives_margin(self, grid):
         h = surface_from_values(grid, 0.4 * np.cos(grid.y_nodes))
