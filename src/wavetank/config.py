@@ -76,6 +76,9 @@ class SimulationConfig:
             raise ConfigurationError("dt must be positive or auto (key 'dt')")
         if self.slope_A is not None and self.slope_A <= 0:
             raise ConfigurationError("slope_A must be positive or auto (key 'slope_A')")
+        if self.slope_A is not None and self.c0 > self.slope_A:
+            raise ConfigurationError(f"c0 = {self.c0} exceeds the extension slope "
+                                     f"A = {self.slope_A} (key 'c0')")
         if not 1 <= self.mode_k < self.n_y / 2:
             raise ConfigurationError(
                 f"mode_k must be >= 1 and < n_y / 2 = {self.n_y / 2:g}, "

@@ -8,8 +8,8 @@ iteration budget, CG_BUDGET.  Its Dirichlet-Neumann map is the weak boundary
 flux of the same matrix, so its discrete bilinear form is exactly symmetric.
 Every CG solve, here and in the time stepper, is preconditioned by the exact
 inverse of its operator on the flat strip (h = 0), applied through
-flat_strip_solve: the iteration count depends on the surface's amplitude, not
-on the grid.
+flat_strip_solve as dense products in y and z: the iteration count depends
+on the surface's amplitude, not on the grid.
 """
 
 from dataclasses import dataclass
@@ -33,16 +33,37 @@ from .surface import boundary_sobolev_norm, surface_geometry
 CG_BUDGET = 500
 
 
-def flat_strip_solve(r, V, denominator):
-    """irfft(rfft(r V) / denominator) V^T with the rfft along y (axis 0 of r):
-    the exact inverse of a flat-strip operator that an rfft in y and the z
-    basis V diagonalize.  Columns of r past the rows of V are pinned nodes
-    (identity rows of the operator) and pass through."""
+def _real_fourier_basis(grid):
+    """The orthonormal real Fourier basis in y as the columns of an n_y x n_y
+    matrix: 1, cos ky, sin ky for each mode 0 < k < n_y / 2 in turn, and
+    cos(pi j), read off the rfft of the identity."""
+    n = grid.n_y
+    F = np.fft.rfft(np.eye(n), axis=0)
+    C = np.empty((n, n))
+    C[:, 0], C[:, -1] = F[0].real, F[-1].real
+    C[:, 1:-1:2] = np.sqrt(2.0) * F[1:-1].real.T
+    C[:, 2:-1:2] = -np.sqrt(2.0) * F[1:-1].imag.T
+    return C / np.sqrt(n)
+
+
+def flat_strip_inverse(grid, denominator):
+    """(C, inverse) for flat_strip_solve: C is the real Fourier basis in y,
+    built once per grid, and inverse is 1 / denominator, the spectrum given
+    per (rfft mode, z eigenvector), laid out on the columns of C: column i
+    of C carries rfft mode (i + 1) // 2."""
+    C = grid.modal_profile("fourier_basis", _real_fourier_basis)
+    return C, 1.0 / denominator[(np.arange(grid.n_y) + 1) // 2]
+
+
+def flat_strip_solve(r, C, V, inverse):
+    """C ((C^T r V) * inverse) V^T with C along y (axis 0 of r): the exact
+    inverse of a flat-strip operator that the real Fourier basis C in y and
+    the z basis V diagonalize (inverse from flat_strip_inverse).  Columns of
+    r past the rows of V are pinned nodes (identity rows of the operator)
+    and pass through."""
     m = V.shape[0]
-    modes = np.fft.rfft(r[:, :m] @ V, axis=0)
-    modes /= denominator
     out = np.empty(r.shape)
-    out[:, :m] = np.fft.irfft(modes, n=r.shape[0], axis=0) @ V.T
+    out[:, :m] = C @ ((C.T @ r[:, :m] @ V) * inverse) @ V.T
     out[:, m:] = r[:, m:]
     return out
 
@@ -114,8 +135,8 @@ class EllipticOperator:
 
     With c = A and b = 0 the stiffness is A (K_y x M_z) + (1/A) (M_y x K_z)
     in the 1-D linear-element matrices: the circulant y factors have symbols
-    (2/dy)(1 - cos t) and (dy/3)(2 + cos t), and eigh(K_z, M_z) on the free z
-    nodes diagonalizes the z factors.
+    (2/dy)(1 - cos t) and (dy/3)(2 + cos t) on mode t of the real Fourier
+    basis, and eigh(K_z, M_z) on the free z nodes diagonalizes the z factors.
     """
 
     def __init__(self, d, bottom_condition="neumann_zero"):
@@ -142,7 +163,7 @@ class EllipticOperator:
         lam, self._V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
         cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
         ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
-        self._denominator = d.A * ky + my * lam / d.A
+        self._C, self._inverse = flat_strip_inverse(g, d.A * ky + my * lam / d.A)
 
     def solve(self, dirichlet_top, tol, rhs=None, flux_rhs=None):
         """Solve -div(E grad q) = rhs (+ div F) with q = dirichlet_top at z = 0;
@@ -165,12 +186,12 @@ class EllipticOperator:
         x = np.zeros(g.n_y * g.n_z)
         x[self.top] = top
         b_f = load[self._free] - self._A_fd @ top
-        V, denominator = self._V, self._denominator
+        C, V, inverse = self._C, self._V, self._inverse
         sol_f, iters = _pcg(
             self._A_ff.__matmul__,
             b_f,
             None,
-            lambda r: flat_strip_solve(r.reshape(g.n_y, -1), V, denominator).ravel(),
+            lambda r: flat_strip_solve(r.reshape(g.n_y, -1), C, V, inverse).ravel(),
             rtol=tol,
             atol=max(tol * 1e-3, 1e-14),
             maxiter=CG_BUDGET,

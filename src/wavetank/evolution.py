@@ -50,7 +50,7 @@ from .surface import (
 )
 from .operators import dual_areas, strain_phi
 from .elliptic import CG_BUDGET, _pcg, capillary_trace, surface_traction_parts
-from .elliptic import flat_strip_solve
+from .elliptic import flat_strip_inverse, flat_strip_solve
 # not called by the stepper; the benchmark's tracer wraps it at this name
 from .elliptic import decompose_pressure  # noqa: F401
 
@@ -87,11 +87,11 @@ class SolverOps:
             satisfies W D + D^T W = boundary matrix exactly.
     dz_3pt: compact second-order vertical derivative (viscous strain).
 
-    On the flat strip (c = A, b = 0) dy_c is circulant, so after an rfft in
-    y both solver operators split into one vertical system per mode k, with
-    sigma_k = sin(2 pi k / n_y) / dy the symbol of dy_c: the Gram systems
-    are diagonalized by one z eigenbasis, and the viscous ones, assembled
-    densely with (u_j, w_j) interleaved, are banded and factored together.
+    On the flat strip (c = A, b = 0) dy_c is circulant, so in a Fourier basis
+    in y both solver operators split into one vertical system per mode k, with
+    sigma_k = sin(2 pi k / n_y) / dy the symbol of dy_c: in the real Fourier
+    basis one z eigenbasis diagonalizes the Gram systems, and after an rfft
+    the viscous ones, with (u_j, w_j) interleaved, are banded and factored.
     """
 
     def __init__(self, grid):
@@ -127,21 +127,21 @@ class SolverOps:
         lam, Q = np.linalg.eigh(s[:, None] * L * s[None, :])
         self._gram_vectors = s[:, None] * Q
         self._gram_values = lam
-        self._gram_denominator = None
+        self._gram_inverse = None
         self._viscous_factor = None
 
     def flat_gram_solve(self, r, A):
         """Exact inverse of the pinned flat-metric Gram operator (top rows
-        pass through): two dense matmuls in z around an rfft in y, with the
-        spectral denominators computed once per A."""
-        if self._gram_denominator is None or self._gram_denominator[0] != A:
+        pass through): dense matmuls with the real Fourier basis in y and
+        the z eigenbasis, with the inverse spectrum computed once per A."""
+        if self._gram_inverse is None or self._gram_inverse[0] != A:
             denominator = self.grid.dy * (
                 A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
             )
-            self._gram_denominator = (A, denominator)
+            self._gram_inverse = (A, *flat_strip_inverse(self.grid, denominator))
+        _, C, inverse = self._gram_inverse
         r = r.reshape(self.grid.n_y, self.grid.n_z)
-        V, denominator = self._gram_vectors, self._gram_denominator[1]
-        return flat_strip_solve(r, V, denominator).ravel()
+        return flat_strip_solve(r, C, self._gram_vectors, inverse).ravel()
 
     def flat_viscous_solve(self, r, A, tau):
         """Exact inverse of the pinned flat-metric viscous operator: one
@@ -188,12 +188,11 @@ class SolverOps:
                     f"at mode {(info - 1) // (2 * nz)} (info {info})"
                 )
             self._viscous_factor = ((A, tau), factor)
-        modes = np.fft.rfft(r.reshape(2, ny, nz), axis=1)
         # unknowns interleaved as (u_j, w_j) within each mode, and back
-        x = zpbtrs(self._viscous_factor[1], np.moveaxis(modes, 0, -1).ravel(),
-                   lower=0)[0]
-        out = np.fft.irfft(np.moveaxis(x.reshape(-1, nz, 2), -1, 0), n=ny, axis=1)
-        return out.ravel()
+        modes = np.fft.rfft(np.moveaxis(r.reshape(2, ny, nz), 0, -1), axis=0)
+        x = zpbtrs(self._viscous_factor[1], modes.ravel(), lower=0)[0]
+        out = np.fft.irfft(x.reshape(-1, nz, 2), n=ny, axis=0)
+        return np.moveaxis(out, -1, 0).ravel()
 
 
 def solver_ops(grid) -> SolverOps:
@@ -289,7 +288,7 @@ class MetricOps:
         vanishes on interior rows, and the bottom rows satisfy the weak
         no-penetration flux balance.  The Gram operator is applied
         matrix-free and preconditioned by its flat-metric inverse, which
-        after an rfft in y is diagonalized once per grid in z.
+        the real Fourier basis in y and one z eigenbasis diagonalize.
         """
         ops = self.ops
         rhs = self._pair_t(ops.dz_sbp_t, self.wc * np.ravel(v[0]),
@@ -580,12 +579,15 @@ def advance(state: FlowState, dt: float):
     if state.eps > 0:
         q_top = q_top + 2.0 * state.eps * snn
     q_top = q_top + capillary_trace(h_half, state.sigma)
-    q = np.repeat(q_top[:, None], grid.n_z, axis=1)
 
     # (vi) kick and exact discrete projection: q is constant in z, so its
-    # vertical derivative vanishes and only the first component moves
+    # vertical derivative vanishes and only the first component moves, by
+    # dt dy_c q, the periodic centered difference of q_top
+    dq = np.empty(grid.n_y)
+    dq[1:-1] = q_top[2:] - q_top[:-2]
+    dq[0], dq[-1] = q_top[1] - q_top[-1], q_top[0] - q_top[-2]
     v_kicked = v_visc.copy()
-    v_kicked[0] -= dt * (mops.ops.dy_c @ q.ravel()).reshape(grid.shape)
+    v_kicked[0] -= (dt / (2.0 * grid.dy)) * dq[:, None]
     v_proj, iters_p1 = mops.project(v_kicked, return_iterations=True)
 
     # (vii) trapezoidal kinematic corrector

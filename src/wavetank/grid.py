@@ -116,8 +116,9 @@ class Grid:
         return D
 
     def modal_profile(self, kind, build):
-        """build(grid), an array over (rfft mode, z node), computed once per
-        set of grid parameters and shared read-only by equal grids."""
+        """build(grid), an array over (rfft mode, z node) or an n_y x n_y
+        matrix in y, computed once per set of grid parameters and shared
+        read-only by equal grids."""
         key = self._cache_key(kind) + (self.n_y, self.length_y)
         if key not in _VERTICAL_CACHE:
             _VERTICAL_CACHE[key] = build(self)
@@ -203,11 +204,21 @@ class Field:
         return 1 if self.values.ndim == 2 else self.values.shape[0]
 
 
-def horizontal_derivative_values(grid, values):
-    """Spectral d/dy of raw samples (axis -2 = horizontal)."""
-    vh = np.fft.rfft(np.asarray(values, dtype=float), axis=-2)
+def _fourier_derivative_matrix(grid):
+    """The n_y x n_y Fourier differentiation matrix: column j is the
+    spectral d/dy of the unit vector e_j by rfft, i k, irfft, so the Nyquist
+    mode's derivative is zero."""
+    vh = np.fft.rfft(np.eye(grid.n_y), axis=0)
     vh *= 1j * grid.wavenumbers[:, None]
-    return np.fft.irfft(vh, n=grid.n_y, axis=-2)
+    return np.fft.irfft(vh, n=grid.n_y, axis=0)
+
+
+def horizontal_derivative_values(grid, values):
+    """Spectral d/dy of raw samples (axis -2 = horizontal, or the only axis
+    of surface samples): one product with the Fourier differentiation
+    matrix, built once per grid."""
+    D = grid.modal_profile("d_y", _fourier_derivative_matrix)
+    return D @ np.asarray(values, dtype=float)
 
 
 def vertical_derivative_values(grid, values):

@@ -44,8 +44,7 @@ class SurfaceState:
 
     def slope(self):
         """d_y h, spectrally."""
-        k = self.grid.wavenumbers
-        return np.fft.irfft(1j * k * self.h_hat, n=self.grid.n_y)
+        return horizontal_derivative_values(self.grid, self.h_values)
 
     def max_abs(self):
         return float(np.max(np.abs(self.h_values)))
@@ -194,7 +193,7 @@ def surface_geometry(h: SurfaceState):
     N_b = np.stack([-u, np.ones_like(u)])
     mag = np.sqrt(1.0 + u ** 2)
     n_b = N_b / mag
-    kappa = horizontal_derivative_values(h.grid, (u / mag)[:, None])[:, 0]
+    kappa = horizontal_derivative_values(h.grid, u / mag)
     return N_b, n_b, kappa
 
 

@@ -230,6 +230,19 @@ class TestCheckCommand:
             "ConfigurationError: c0 = 1.5 exceeds the extension slope A = 1.0\n"
         )
 
+    def test_floor_above_given_slope_reported_before_output(self, tmp_path, capsys):
+        # a given slope_A bounds c0 before any output; with slope_A = auto
+        # the bound depends on the surface (the test above)
+        out = tmp_path / "chk"
+        code = run_cli("check", "--out", str(out), "--override", "slope_A=1.0",
+                       "--override", "c0=1.5")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: c0 = 1.5 exceeds the extension slope A = 1.0 "
+            "(key 'c0')\n"
+        )
+        assert not out.exists()
+
     def test_cfl_factor_above_one_reported_before_output(self, tmp_path, capsys):
         # the step's guard is the limit at cfl_factor 1 on the same state
         out = tmp_path / "chk"

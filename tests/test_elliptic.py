@@ -9,6 +9,8 @@ from wavetank.elliptic import (
     _pcg,
     decompose_pressure,
     dn_coercivity_ratio,
+    flat_strip_inverse,
+    flat_strip_solve,
     qE_inner_split,
 )
 from wavetank.errors import (
@@ -215,6 +217,35 @@ class TestFlatStripPreconditioner:
             counts.append(iters)
         assert max(counts) <= 12, counts
         assert counts[2] <= counts[0] + 1 and counts[1] <= counts[0] + 1, counts
+
+    @pytest.mark.parametrize("n_y, m, pinned", [(8, 5, 1), (16, 9, 0), (48, 20, 2)])
+    def test_solve_matches_an_rfft_oracle(self, n_y, m, pinned, rng):
+        # any z basis and any positive spectrum per (rfft mode, z column)
+        g = make_grid(n_y, 8, 2.0 * np.pi, 1.0)
+        V = rng.standard_normal((m, m))
+        denominator = rng.uniform(0.5, 2.0, (n_y // 2 + 1, m))
+        r = rng.standard_normal((n_y, m + pinned))
+        modes = np.fft.rfft(r[:, :m] @ V, axis=0) / denominator
+        ref = np.fft.irfft(modes, n=n_y, axis=0) @ V.T
+        C, inverse = flat_strip_inverse(g, denominator)
+        out = flat_strip_solve(r, C, V, inverse)
+        assert np.max(np.abs(out[:, :m] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(out[:, m:], r[:, m:])
+
+    @pytest.mark.parametrize("A", [1.0, 1.7])
+    @pytest.mark.parametrize("bottom", BOTTOMS)
+    def test_inverts_the_flat_stiffness(self, A, bottom, rng):
+        # the gap is measured against |A| |x|, the size of the terms that
+        # cancel in A x
+        g = make_grid(24, 30, 2.0 * np.pi, 3.0)
+        d = build_diffeomorphism(
+            surface_from_values(g, np.zeros(g.n_y)), A=A, c0=0.5
+        )
+        op = EllipticOperator(d, bottom)
+        r = rng.standard_normal((g.n_y, op._V.shape[0]))
+        x = flat_strip_solve(r, op._C, op._V, op._inverse).ravel()
+        gap = op._A_ff @ x - r.ravel()
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(abs(op._A_ff) @ np.abs(x))
 
 
 class TestDirichletNeumann:

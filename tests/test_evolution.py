@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
-from wavetank import evolution
+from wavetank import evolution, grid as grid_module
 from wavetank.conormal import FieldHistory
 from wavetank.diagnostics import epsilon_sweep, layer_profile
 from wavetank.elliptic import (
@@ -582,6 +582,25 @@ class TestPreconditionedSolves:
         d = build_diffeomorphism(h, A=None, c0=0.25)
         assert max(_solve_iterations(g, d, rng)) <= 20
 
+    @pytest.mark.parametrize("n_y, n_z", [(16, 24), (48, 64)])
+    @pytest.mark.parametrize("A", [1.0, 1.7])
+    def test_flat_gram_solve_inverts_the_flat_gram(self, n_y, n_z, A, rng):
+        # the gap is measured against |G| |x|, the size of the terms that
+        # cancel in G x; on the flat strip G = Dz^T (w / A) Dz + Dy^T (w A) Dy
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
+        d = build_diffeomorphism(surface_from_values(g, np.zeros(n_y)), A=A, c0=0.5)
+        mops = metric_ops(d)
+        ops = mops.ops
+        r = rng.standard_normal(n_y * n_z)
+        x = ops.flat_gram_solve(r, A)
+        gap = mops.gram(x) - r
+        gap[ops.top] = 0.0
+        ax = np.abs(x)
+        ax[ops.top] = 0.0
+        dz, dy = abs(ops.dz_sbp), abs(ops.dy_c)
+        scale = (dz.T @ (ops.weights / A * (dz @ ax))
+                 + dy.T @ (ops.weights * A * (dy @ ax)))
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(scale)
 
     def test_flat_gram_spectra_follow_A(self, grid, rng):
         # the stored denominators are rebuilt when A changes and back
@@ -634,6 +653,23 @@ class TestSolveWork:
         # the viscous solve's first guess costs its one operator application
         assert calls == {"gram": 0, "flat_gram_solve": 0,
                          "viscous_operator": 1, "flat_viscous_solve": 0}
+
+    def test_euler_step_transforms(self, monkeypatch):
+        # every d/dy and every flat Gram inverse is a matrix product; what
+        # an Euler step leaves to the FFT is the cutoff lift of h at both
+        # metrics and of dt h, and, with cold caches, the real Fourier basis
+        monkeypatch.setattr(grid_module, "_VERTICAL_CACHE", {})
+        state = standing_wave_state(make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi),
+                                    a=1e-2)
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counted(*args, _inner=getattr(np.fft, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        advance(state, cfl_dt(state))
+        assert counts["rfft"] <= 4 and counts["irfft"] <= 4, counts
 
 
 class TestEnergyReport:

@@ -8,6 +8,7 @@ from wavetank.grid import (
     Field,
     d_horizontal,
     d_vertical,
+    horizontal_derivative_values,
     integrate_dVt,
     make_grid,
 )
@@ -101,6 +102,31 @@ class TestHorizontalDerivative:
         order1 = np.log2(errors[0] / errors[1])
         order2 = np.log2(errors[1] / errors[2])
         assert order1 > 3.5 and order2 > 3.5
+
+    @pytest.mark.parametrize("n_y", [8, 16, 48, 96])
+    def test_matrix_matches_the_fft_route(self, n_y):
+        # d/dy is one product with the Fourier differentiation matrix; it
+        # must agree with rfft, i k, irfft on fields and on surface samples
+        g = make_grid(n_y, 8, 3.0, 1.0, clustering="uniform")
+        k = g.wavenumbers[:, None]
+        rng = np.random.default_rng(n_y)
+        for values in (rng.standard_normal((2,) + g.shape),
+                       rng.standard_normal(g.shape),
+                       rng.standard_normal(n_y)):
+            cols = values if values.ndim > 1 else values[:, None]
+            ref = np.fft.irfft(1j * k * np.fft.rfft(cols, axis=-2), n=n_y,
+                               axis=-2).reshape(values.shape)
+            gap = np.max(np.abs(horizontal_derivative_values(g, values) - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_y", [8, 16, 48, 96])
+    def test_nyquist_mode_has_zero_derivative(self, n_y):
+        g = make_grid(n_y, 8, 3.0, 1.0, clustering="uniform")
+        nyquist = np.cos(np.pi * np.arange(n_y))
+        scale = g.wavenumbers[-1]
+        assert np.max(np.abs(horizontal_derivative_values(g, nyquist))) < 1e-13 * scale
+        field = np.tile(nyquist[:, None], (1, g.n_z))
+        assert np.max(np.abs(horizontal_derivative_values(g, field))) < 1e-13 * scale
 
 
 class TestVerticalDerivative:
