@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ConfigurationError, MetricValidityError, SolverFailureError
-from .grid import Field
+from .grid import Field, fourier_basis
 from .operators import (
     divergence_form_matrix,
     dual_areas,
@@ -27,40 +27,19 @@ from .operators import (
     linear_element_matrices,
     strain_phi,
 )
-from .surface import boundary_sobolev_norm, surface_geometry
+from .surface import surface_geometry
 
 # iterations allowed to every CG solve; the most any solve takes is about 30
 CG_BUDGET = 500
 
 
-def _real_fourier_basis(grid):
-    """The orthonormal real Fourier basis in y as the columns of an n_y x n_y
-    matrix: 1, cos ky, sin ky for each mode 0 < k < n_y / 2 in turn, and
-    cos(pi j), read off the rfft of the identity."""
-    n = grid.n_y
-    F = np.fft.rfft(np.eye(n), axis=0)
-    C = np.empty((n, n))
-    C[:, 0], C[:, -1] = F[0].real, F[-1].real
-    C[:, 1:-1:2] = np.sqrt(2.0) * F[1:-1].real.T
-    C[:, 2:-1:2] = -np.sqrt(2.0) * F[1:-1].imag.T
-    return C / np.sqrt(n)
-
-
-def flat_strip_inverse(grid, denominator):
-    """(C, inverse) for flat_strip_solve: C is the real Fourier basis in y,
-    built once per grid, and inverse is 1 / denominator, the spectrum given
-    per (rfft mode, z eigenvector), laid out on the columns of C: column i
-    of C carries rfft mode (i + 1) // 2."""
-    C = grid.modal_profile("fourier_basis", _real_fourier_basis)
-    return C, 1.0 / denominator[(np.arange(grid.n_y) + 1) // 2]
-
-
 def flat_strip_solve(r, C, V, inverse):
     """C ((C^T r V) * inverse) V^T with C along y (axis 0 of r): the exact
-    inverse of a flat-strip operator that the real Fourier basis C in y and
-    the z basis V diagonalize (inverse from flat_strip_inverse).  Columns of
-    r past the rows of V are pinned nodes (identity rows of the operator)
-    and pass through."""
+    inverse of a flat-strip operator that the real Fourier basis C in y
+    (grid.fourier_basis) and the z basis V diagonalize; inverse is one over
+    its spectrum per (basis column, z eigenvector).  Columns of r past the
+    rows of V are pinned nodes (identity rows of the operator) and pass
+    through."""
     m = V.shape[0]
     out = np.empty(r.shape)
     out[:, :m] = C @ ((C.T @ r[:, :m] @ V) * inverse) @ V.T
@@ -161,9 +140,10 @@ class EllipticOperator:
         self._A_fd = A_free[:, self.top].tocsr()
         K, M = linear_element_matrices(g.z_nodes)
         lam, self._V = eigh(K[lo:-1, lo:-1], M[lo:-1, lo:-1])
-        cos = np.cos(2.0 * np.pi * np.arange(g.n_y // 2 + 1) / g.n_y)[:, None]
+        cos = np.cos(g.wavenumbers * g.dy)[:, None]
         ky, my = (2.0 / g.dy) * (1.0 - cos), (g.dy / 3.0) * (2.0 + cos)
-        self._C, self._inverse = flat_strip_inverse(g, d.A * ky + my * lam / d.A)
+        self._C = fourier_basis(g)
+        self._inverse = 1.0 / (d.A * ky + my * lam / d.A)
 
     def solve(self, dirichlet_top, tol, rhs=None, flux_rhs=None):
         """Solve -div(E grad q) = rhs (+ div F) with q = dirichlet_top at z = 0;
@@ -223,14 +203,16 @@ def dn_coercivity_ratio(op, f_b, tol):
     constant of the DN map of op measured on f = f_b, with the Fourier
     multiplier Lambda = |grad| (1 + |grad|)^{-1/2}."""
     d, g = op.d, op.grid
-    fh = np.fft.rfft(np.asarray(f_b, float))
-    fh *= g.wavenumbers / np.sqrt(1.0 + g.wavenumbers)
-    lam_f = boundary_sobolev_norm(g, np.fft.irfft(fh, n=g.n_y), 0.0)
-    if lam_f == 0:
+    f_b = np.asarray(f_b, float)
+    # C^T of a constant leaves rounding in the k > 0 columns, so a constant
+    # is recognised on the samples themselves
+    if np.ptp(f_b) == 0:
         raise ConfigurationError("f_b is constant, so Lambda f_b = 0")
+    k, coefficients = g.wavenumbers, fourier_basis(g).T @ f_b
+    lam_f2 = float(np.sum(k ** 2 / (1.0 + k) * coefficients ** 2) * g.dy)
     quad = op.dn_quadratic_form(f_b, f_b, tol)
     w1inf = d.h.max_abs() + float(np.max(np.abs(d.h.slope())))
-    return quad / ((1.0 + w1inf) ** -2 * lam_f ** 2)
+    return quad / ((1.0 + w1inf) ** -2 * lam_f2)
 
 
 # ---------------------------------------------------------------------------

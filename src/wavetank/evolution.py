@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import zpbtrf, zpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     ConfigurationError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .grid import (
     Field,
+    fourier_basis,
     horizontal_derivative_values,
     integrate_boundary,
     integrate_dVt,
@@ -50,7 +51,7 @@ from .surface import (
 )
 from .operators import dual_areas, strain_phi
 from .elliptic import CG_BUDGET, _pcg, capillary_trace, surface_traction_parts
-from .elliptic import flat_strip_inverse, flat_strip_solve
+from .elliptic import flat_strip_solve
 # not called by the stepper; the benchmark's tracer wraps it at this name
 from .elliptic import decompose_pressure  # noqa: F401
 
@@ -87,11 +88,13 @@ class SolverOps:
             satisfies W D + D^T W = boundary matrix exactly.
     dz_3pt: compact second-order vertical derivative (viscous strain).
 
-    On the flat strip (c = A, b = 0) dy_c is circulant, so in a Fourier basis
-    in y both solver operators split into one vertical system per mode k, with
-    sigma_k = sin(2 pi k / n_y) / dy the symbol of dy_c: in the real Fourier
-    basis one z eigenbasis diagonalizes the Gram systems, and after an rfft
-    the viscous ones, with (u_j, w_j) interleaved, are banded and factored.
+    On the flat strip (c = A, b = 0) dy_c is circulant, so in the real
+    Fourier basis C in y both solver operators split into vertical systems
+    per basis column.  dy_c maps column i of wavenumber k to its partner
+    column (cos ky to -sigma sin ky, sin ky to sigma cos ky), with
+    sigma[i] = sin(k dy) / dy, zero on the Nyquist column: one z eigenbasis
+    diagonalizes the Gram systems, and the viscous ones, with u on column i
+    and w on its partner interleaved as (u_j, w_j), are banded and factored.
     """
 
     def __init__(self, grid):
@@ -114,12 +117,12 @@ class SolverOps:
         self.bottom = slice(0, None, nz)
         self.weights = dual_areas(grid).ravel()
 
-        # sigma_k = 0 exactly at the Nyquist mode, which dy_c annihilates
-        sigma = np.sin(2.0 * np.pi * np.arange(ny // 2 + 1) / ny) / dy
+        # sigma = 0 exactly on the Nyquist column, which dy_c annihilates
+        sigma = np.sin(grid.wavenumbers * dy) / dy
         sigma[-1] = 0.0
         self.sigma = sigma
-        # flat Gram operator on the non-top rows of mode k:
-        # dy (A sigma_k^2 W_z + L / A), L = Dz_sbp^T W_z Dz_sbp; diagonalized
+        # flat Gram operator on the non-top rows of basis column i:
+        # dy (A sigma_i^2 W_z + L / A), L = Dz_sbp^T W_z Dz_sbp; diagonalized
         # as W_z^(-1/2) L W_z^(-1/2) = Q diag(lam) Q^T
         wz = grid.quadrature_weights_z
         L = (D.T @ (wz[:, None] * D))[:-1, :-1]
@@ -138,23 +141,26 @@ class SolverOps:
             denominator = self.grid.dy * (
                 A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
             )
-            self._gram_inverse = (A, *flat_strip_inverse(self.grid, denominator))
-        _, C, inverse = self._gram_inverse
+            self._gram_inverse = (A, 1.0 / denominator)
         r = r.reshape(self.grid.n_y, self.grid.n_z)
-        return flat_strip_solve(r, C, self._gram_vectors, inverse).ravel()
+        return flat_strip_solve(r, fourier_basis(self.grid), self._gram_vectors,
+                                self._gram_inverse[1]).ravel()
 
     def flat_viscous_solve(self, r, A, tau):
         """Exact inverse of the pinned flat-metric viscous operator: one
-        banded solve over all rfft modes in y.  Mode k's block, with unknowns
-        interleaved as (u_j, w_j) and bottom rows pinned, is
+        real banded solve over all columns of the real Fourier basis in y.
+        dy_c maps each column to its partner, so u on column i couples only
+        to w on the partner column.  Block i, with unknowns interleaved as
+        (u_j, w_j) and bottom rows pinned, is
 
-            R + i sigma_k J + sigma_k^2 diag(m),  m = tau [W, W / 2],
-            R = W + tau [[L3 / 2, 0], [0, L3]],   J = tau / 2 [[0, D3^T W], [-W D3, 0]],
+            R + s_i sigma_i J + sigma_i^2 diag(m),  m = tau [W, W / 2],
+            R = W + tau [[L3 / 2, 0], [0, L3]],   J = tau / 2 [[0, D3^T W], [W D3, 0]],
 
-        W = A dy W_z, D3 = dz_3pt / A, L3 = D3^T W D3.  Once per (A, tau) the
-        bands of R and J are read off by diagonal and one complex banded
-        Cholesky factors every mode: the blocks follow one another on the
-        diagonal, so the band entries between them are zero."""
+        s_i = +1 on cos columns and -1 on sin columns, W = A dy W_z,
+        D3 = dz_3pt / A, L3 = D3^T W D3.  Once per (A, tau) the bands of R
+        and J are read off by diagonal and one banded Cholesky factors every
+        block: the blocks follow one another on the diagonal, so the band
+        entries between them are zero."""
         grid = self.grid
         ny, nz = grid.n_y, grid.n_z
         if self._viscous_factor is None or self._viscous_factor[0] != (A, tau):
@@ -170,29 +176,34 @@ class SolverOps:
             # no-slip bottom: u_0 and w_0 pinned
             R[:2] = R[:, :2] = J[:2] = J[:, :2] = m[:2] = 0.0
             R[0, 0] = R[1, 1] = 1.0
-            J[1::2, 0::2] = -J[0::2, 1::2].T
+            J[1::2, 0::2] = J[0::2, 1::2].T
             rows, cols = np.nonzero(R + J)
             kd = int(np.max(np.abs(cols - rows)))
-            real, imag = (np.array([np.append(np.zeros(e), np.diagonal(X, e))
-                                    for e in range(kd, -1, -1)]) for X in (R, J))
-            sig = self.sigma[:, None]
-            bands = np.empty((kd + 1, len(sig) * 2 * nz), complex, order="F")
-            blocks = bands.reshape(kd + 1, len(sig), 2 * nz)
-            blocks.real = real[:, None]
-            blocks.real[kd] += sig ** 2 * m
-            blocks.imag = sig * imag[:, None]
-            factor, info = zpbtrf(bands, lower=0, overwrite_ab=1)
+            Rb, Jb = (np.array([np.append(np.zeros(e), np.diagonal(X, e))
+                                for e in range(kd, -1, -1)]) for X in (R, J))
+            s_sigma = self.sigma.copy()
+            s_sigma[2::2] *= -1.0
+            bands = np.empty((kd + 1, ny * 2 * nz), order="F")
+            blocks = bands.reshape(kd + 1, ny, 2 * nz)
+            blocks[:] = Rb[:, None] + s_sigma[:, None] * Jb[:, None]
+            blocks[kd] += self.sigma[:, None] ** 2 * m
+            factor, info = dpbtrf(bands, lower=0, overwrite_ab=1)
             if info != 0:
+                column = (info - 1) // (2 * nz)
                 raise SolverFailureError(
                     f"banded Cholesky of the flat viscous operator failed "
-                    f"at mode {(info - 1) // (2 * nz)} (info {info})"
+                    f"at mode {(column + 1) // 2} (info {info})"
                 )
             self._viscous_factor = ((A, tau), factor)
-        # unknowns interleaved as (u_j, w_j) within each mode, and back
-        modes = np.fft.rfft(np.moveaxis(r.reshape(2, ny, nz), 0, -1), axis=0)
-        x = zpbtrs(self._viscous_factor[1], modes.ravel(), lower=0)[0]
-        out = np.fft.irfft(x.reshape(-1, nz, 2), n=ny, axis=0)
-        return np.moveaxis(out, -1, 0).ravel()
+        # block i holds u on column i and w on its partner, interleaved
+        C = fourier_basis(grid)
+        partner = np.arange(ny)
+        partner[1:-1:2] += 1
+        partner[2:-1:2] -= 1
+        coefficients = C.T @ r.reshape(2, ny, nz)
+        b = np.stack([coefficients[0], coefficients[1, partner]], axis=-1)
+        x = dpbtrs(self._viscous_factor[1], b.ravel(), lower=0)[0].reshape(ny, nz, 2)
+        return (C @ np.stack([x[..., 0], x[partner, :, 1]])).ravel()
 
 
 def solver_ops(grid) -> SolverOps:
@@ -351,8 +362,8 @@ class MetricOps:
         The top boundary carries the natural (weakly traction-free)
         condition of the strain form.  The system is SPD and mass-dominated;
         it is applied matrix-free and preconditioned by its flat-metric
-        inverse, one complex banded Cholesky factor over all rfft modes in
-        y, factored once per (grid, A, eps dt).
+        inverse, one real banded Cholesky factor over all columns of the
+        real Fourier basis in y, factored once per (grid, A, eps dt).
         """
         ops = self.ops
         u = np.ravel(v)
@@ -416,7 +427,7 @@ class FlowState:
 
     @cached_property
     def eta_t(self):
-        return cutoff_lift(self.v.grid, np.fft.rfft(self.w))
+        return cutoff_lift(self.v.grid, self.w)
 
 
 def _with_metric(state, d):

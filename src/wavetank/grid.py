@@ -79,8 +79,9 @@ class Grid:
 
     @property
     def wavenumbers(self):
-        """rfft wavenumbers 2*pi*k/L, shape (n_y//2 + 1,)."""
-        return 2.0 * np.pi * np.arange(self.n_y // 2 + 1) / self.length_y
+        """The wavenumber 2*pi*k/L of each column of the real Fourier basis:
+        0, k1, k1, k2, k2, ..., k_{n_y/2}, shape (n_y,)."""
+        return 2.0 * np.pi * ((np.arange(self.n_y) + 1) // 2) / self.length_y
 
     @property
     def shape(self):
@@ -116,9 +117,9 @@ class Grid:
         return D
 
     def modal_profile(self, kind, build):
-        """build(grid), an array over (rfft mode, z node) or an n_y x n_y
-        matrix in y, computed once per set of grid parameters and shared
-        read-only by equal grids."""
+        """build(grid), an array over (real Fourier basis column, z node) or
+        an n_y x n_y matrix in y, computed once per set of grid parameters
+        and shared read-only by equal grids."""
         key = self._cache_key(kind) + (self.n_y, self.length_y)
         if key not in _VERTICAL_CACHE:
             _VERTICAL_CACHE[key] = build(self)
@@ -204,13 +205,36 @@ class Field:
         return 1 if self.values.ndim == 2 else self.values.shape[0]
 
 
+def _real_fourier_basis(grid):
+    """The orthonormal real Fourier basis in y as the columns of an n_y x n_y
+    matrix: 1, cos ky, sin ky for each mode 0 < k < n_y / 2 in turn, and
+    cos(pi j), read off the rfft of the identity."""
+    n = grid.n_y
+    F = np.fft.rfft(np.eye(n), axis=0)
+    C = np.empty((n, n))
+    C[:, 0], C[:, -1] = F[0].real, F[-1].real
+    C[:, 1:-1:2] = np.sqrt(2.0) * F[1:-1].real.T
+    C[:, 2:-1:2] = -np.sqrt(2.0) * F[1:-1].imag.T
+    return C / np.sqrt(n)
+
+
+def fourier_basis(grid):
+    """The real Fourier basis C of the grid, built once per grid: every
+    transform in y is a product with C (coefficients C^T f, samples C c),
+    and column i has wavenumber grid.wavenumbers[i]."""
+    return grid.modal_profile("fourier_basis", _real_fourier_basis)
+
+
 def _fourier_derivative_matrix(grid):
-    """The n_y x n_y Fourier differentiation matrix: column j is the
-    spectral d/dy of the unit vector e_j by rfft, i k, irfft, so the Nyquist
-    mode's derivative is zero."""
-    vh = np.fft.rfft(np.eye(grid.n_y), axis=0)
-    vh *= 1j * grid.wavenumbers[:, None]
-    return np.fft.irfft(vh, n=grid.n_y, axis=0)
+    """The n_y x n_y Fourier differentiation matrix C S C^T: S maps the
+    coefficients (a, b) of a cos ky + b sin ky to (k b, -k a), and the
+    Nyquist column to zero."""
+    C = fourier_basis(grid)
+    k = grid.wavenumbers
+    CS = np.zeros_like(C)
+    CS[:, 1:-1:2] = -k[1:-1:2] * C[:, 2:-1:2]
+    CS[:, 2:-1:2] = k[2:-1:2] * C[:, 1:-1:2]
+    return CS @ C.T
 
 
 def horizontal_derivative_values(grid, values):

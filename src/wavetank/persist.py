@@ -57,13 +57,8 @@ def restore_checkpoint(path) -> FlowState:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise CheckpointError(f"snapshot too short ({len(raw)} bytes)")
-    try:
-        (magic, version, header_bytes, n_y, n_z, length_y, depth_H, t, eps,
-         g, sigma, clustering_code, gamma, A, c0) = _HEADER.unpack(
-            raw[: _HEADER.size]
-        )
-    except struct.error as exc:
-        raise CheckpointError(f"corrupt snapshot header: {exc}") from exc
+    (magic, version, header_bytes, n_y, n_z, length_y, depth_H, t, eps,
+     g, sigma, clustering_code, gamma, A, c0) = _HEADER.unpack(raw[: _HEADER.size])
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != VERSION:

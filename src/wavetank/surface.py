@@ -1,7 +1,8 @@
 """Free-surface state, its mollified interior extension, and the flattening map.
 
 The surface h lives on the periodic boundary.  Its interior extension eta is
-built mode by mode as eta_hat(kappa, z) = chi(z * kappa) * h_hat(kappa) with a
+built mode by mode in the real Fourier basis C of the grid: the coefficient
+c_i = (C^T h)_i of wavenumber kappa_i becomes chi(z * kappa_i) * c_i, with a
 compactly supported cutoff chi that equals 1 on [-1, 1].  The flattening map
 is phi = A z + eta; its vertical derivative must stay above a positive floor
 for the pulled-back operators to make sense.
@@ -15,6 +16,7 @@ from .errors import ConfigurationError, MetricValidityError
 from .grid import (
     Field,
     Grid,
+    fourier_basis,
     horizontal_derivative_values,
     vertical_derivative_values,
 )
@@ -22,7 +24,7 @@ from .grid import (
 
 @dataclass(frozen=True, eq=False)
 class SurfaceState:
-    """Surface elevation samples; h_hat gives their rfft on demand."""
+    """Surface elevation samples."""
 
     grid: Grid
     h_values: np.ndarray = field(repr=False)
@@ -36,11 +38,6 @@ class SurfaceState:
         if not np.all(np.isfinite(h)):
             raise ConfigurationError("surface contains non-finite values")
         object.__setattr__(self, "h_values", h)
-
-    @property
-    def h_hat(self):
-        """rfft of h, not cached, so that every stored state keeps only h."""
-        return np.fft.rfft(self.h_values)
 
     def slope(self):
         """d_y h, spectrally."""
@@ -109,19 +106,20 @@ class CutoffSpec:
         return out
 
 
-def cutoff_lift(grid, data_hat):
-    """Interior samples of the cutoff extension of boundary data, given by
-    its rfft coefficients: mode kappa becomes chi(z kappa) data_hat(kappa).
-    The profile chi(z kappa) is evaluated once per grid."""
+def cutoff_lift(grid, samples):
+    """Interior samples of the cutoff extension of boundary samples: the
+    coefficient c_i of basis column i becomes chi(z kappa_i) c_i.  The
+    profile chi(z kappa_i) is evaluated once per grid."""
+    C = fourier_basis(grid)
     prof = grid.modal_profile(
         "cutoff", lambda g: CutoffSpec.evaluate(np.outer(g.wavenumbers, g.z_nodes))
     )
-    return np.fft.irfft(prof * data_hat[:, None], n=grid.n_y, axis=0)
+    return C @ (prof * (C.T @ samples)[:, None])
 
 
 def extend_surface(h: SurfaceState) -> Field:
     """Mollified interior extension eta with eta(., 0) = h."""
-    return Field(h.grid, cutoff_lift(h.grid, h.h_hat))
+    return Field(h.grid, cutoff_lift(h.grid, h.h_values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,36 +195,19 @@ def surface_geometry(h: SurfaceState):
     return N_b, n_b, kappa
 
 
-def _rfft_weights(grid):
-    """How often each rfft mode occurs in the full spectrum (Parseval)."""
-    weights = np.full(grid.n_y // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if grid.n_y % 2 == 0:
-        weights[-1] = 1.0
-    return weights
-
-
 def boundary_sobolev_norm(grid, values, s):
-    """|f|_{H^s} on the periodic boundary via the (1 + kappa^2)^{s/2} multiplier."""
-    v = np.asarray(values, dtype=float)
-    fh = np.fft.rfft(v)
-    kappa = grid.wavenumbers
-    density = _rfft_weights(grid) * (1.0 + kappa ** 2) ** s * np.abs(fh) ** 2
-    return float(np.sqrt(np.sum(density) * grid.dy / grid.n_y))
+    """|f|_{H^s} on the periodic boundary via the (1 + kappa^2)^{s/2}
+    multiplier on the coefficients in the orthonormal basis C."""
+    fh = fourier_basis(grid).T @ np.asarray(values, dtype=float)
+    density = (1.0 + grid.wavenumbers ** 2) ** s * fh ** 2
+    return float(np.sqrt(np.sum(density) * grid.dy))
 
 
 def tangential_sobolev_norm(grid, values, s):
     """H^s_tan norm: Fourier multiplier in y, plain L2 in z, over components."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 2:
-        v = v[None]
-    mult = _rfft_weights(grid) * (1.0 + grid.wavenumbers ** 2) ** s
-    total = 0.0
-    for comp in v:
-        fh = np.fft.rfft(comp, axis=0)
-        density = mult[:, None] * np.abs(fh) ** 2
-        total += np.sum(density * grid.quadrature_weights_z[None, :])
-    return float(np.sqrt(total * grid.dy / grid.n_y))
+    coefficients = fourier_basis(grid).T @ np.asarray(values, dtype=float)
+    density = (1.0 + grid.wavenumbers[:, None] ** 2) ** s * coefficients ** 2
+    return float(np.sqrt(np.sum(density * grid.quadrature_weights_z) * grid.dy))
 
 
 def grad_eta_sobolev_norm(h: SurfaceState, s):
@@ -240,24 +221,19 @@ def grad_eta_sobolev_norm(h: SurfaceState, s):
         raise ConfigurationError(f"extension audit supports s in 0..2, got {s}")
     g = h.grid
     kappa = g.wavenumbers
-    weights = _rfft_weights(g)
     wz = g.quadrature_weights_z
     arg = np.outer(kappa, g.z_nodes)
     profiles = [CutoffSpec.evaluate(arg, order=m) for m in range(s + 2)]
-    hh2 = np.abs(h.h_hat) ** 2
+    hh2 = (fourier_basis(g).T @ h.h_values) ** 2
     total = 0.0
     for a in range(s + 1):
         for b in range(s + 1 - a):
             # d_y^a d_z^b of (d_y eta): mode amplitude kappa^(a+b+1) chi^(b)
             amp_y = kappa ** (2 * (a + b + 1)) * hh2
-            total += np.sum(
-                weights[:, None] * amp_y[:, None] * profiles[b] ** 2 * wz[None, :]
-            )
+            total += np.sum(amp_y[:, None] * profiles[b] ** 2 * wz[None, :])
             # d_y^a d_z^b of (d_z eta): amplitude kappa^(a+b+1) chi^(b+1)
-            total += np.sum(
-                weights[:, None] * amp_y[:, None] * profiles[b + 1] ** 2 * wz[None, :]
-            )
-    return float(np.sqrt(total * g.dy / g.n_y))
+            total += np.sum(amp_y[:, None] * profiles[b + 1] ** 2 * wz[None, :])
+    return float(np.sqrt(total * g.dy))
 
 
 def extension_gain_audit(grid, rng):
@@ -278,17 +254,18 @@ def extension_gain_audit(grid, rng):
 
 
 def random_surface(grid, rng, amplitude, max_mode=None):
-    """Random real surface with |h_hat(kappa)| ~ kappa^-2, zero mean, scaled
-    to max |h| = amplitude."""
+    """Random real surface sum_k k^-2 cos(kappa_k y + phase_k) over the modes
+    0 < k <= max_mode, zero mean, scaled to max |h| = amplitude."""
     n = grid.n_y
     if max_mode is None:
         max_mode = n // 3
-    hat = np.zeros(n // 2 + 1, dtype=complex)
     ks = np.arange(1, max_mode + 1)
     mags = ks.astype(float) ** -2.0
     phases = rng.uniform(0.0, 2.0 * np.pi, size=ks.size)
-    hat[1 : max_mode + 1] = mags * np.exp(1j * phases)
-    h = np.fft.irfft(hat, n=n)
+    coefficients = np.zeros(n)
+    coefficients[2 * ks - 1] = mags * np.cos(phases)
+    coefficients[2 * ks] = -mags * np.sin(phases)
+    h = fourier_basis(grid) @ coefficients
     peak = np.max(np.abs(h))
     if peak > 0:
         h *= amplitude / peak

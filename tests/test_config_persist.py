@@ -387,3 +387,13 @@ class TestSweepCsv:
         for row in rows:
             assert all(row[name] == "nan" for name in COMPARISONS)
         assert [r["failed"] for r in rows] == ["0", "0", "0", "1"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("solver_tol = 0\n", r"^solver_tol must be positive \(key 'solver_tol'\)"),
+    ("slope_A = -1\n", r"^slope_A must be positive or auto \(key 'slope_A'\)"),
+    ("n_y 16\n", "^line 1: expected 'key = value'"),
+], ids=["solver_tol", "slope_A", "no-equals"])
+def test_guards_name_their_input(doc, message):
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config(doc)

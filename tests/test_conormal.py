@@ -300,3 +300,15 @@ class TestTraceAndEmbedding:
     def test_trace_audit_validates_exponents(self, grid):
         with pytest.raises(ConfigurationError):
             trace_inequality_audit(grid, [], s=1.0, s1=1.0, s2=0.5)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda g: FieldHistory(g, [], dt=1.0), "^history needs at least one level"),
+    (lambda g: conormal_norm(np.ones(g.shape), "Hco", 1),
+     "^expected Field or FieldHistory, got <class 'numpy.ndarray'>"),
+    (lambda g: conormal_norm(Field(g, np.ones(g.shape)), "H1", 1),
+     "^unknown norm family 'H1'"),
+], ids=["empty-history", "raw-array", "unknown-family"])
+def test_guards_name_their_input(grid, bad, message):
+    with pytest.raises(ConfigurationError, match=message):
+        bad(grid)

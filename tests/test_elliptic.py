@@ -9,7 +9,6 @@ from wavetank.elliptic import (
     _pcg,
     decompose_pressure,
     dn_coercivity_ratio,
-    flat_strip_inverse,
     flat_strip_solve,
     qE_inner_split,
 )
@@ -18,7 +17,7 @@ from wavetank.errors import (
     MetricValidityError,
     SolverFailureError,
 )
-from wavetank.grid import Field, l2_norm, make_grid
+from wavetank.grid import Field, fourier_basis, l2_norm, make_grid
 from wavetank.operators import jacobian_phi
 from wavetank.surface import (
     Diffeomorphism,
@@ -227,8 +226,9 @@ class TestFlatStripPreconditioner:
         r = rng.standard_normal((n_y, m + pinned))
         modes = np.fft.rfft(r[:, :m] @ V, axis=0) / denominator
         ref = np.fft.irfft(modes, n=n_y, axis=0) @ V.T
-        C, inverse = flat_strip_inverse(g, denominator)
-        out = flat_strip_solve(r, C, V, inverse)
+        # basis column i carries rfft mode (i + 1) // 2
+        inverse = 1.0 / denominator[(np.arange(n_y) + 1) // 2]
+        out = flat_strip_solve(r, fourier_basis(g), V, inverse)
         assert np.max(np.abs(out[:, :m] - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(out[:, m:], r[:, m:])
 
@@ -469,3 +469,13 @@ class TestQEInnerSplit:
         q_direct, _ = op.solve(1.0 * d.h.h_values, tol, rhs=source)
         gap = l2_norm(grid, qE1.values + qE2.values - q_direct)
         assert gap < 10.0 * tol * max(l2_norm(grid, q_direct), 1.0)
+
+
+def test_cg_breakdown_is_a_solver_failure():
+    # -I is negative definite, so the first p.Ap is -|b|^2; without the
+    # check CG would step to x = -b and report convergence
+    b = np.ones(5)
+    with pytest.raises(SolverFailureError, match=r"^CG breakdown \(p.Ap = -5") as exc:
+        _pcg(np.negative, b, None, np.copy, rtol=1e-12, atol=0.0, maxiter=10)
+    assert exc.value.iterations == 0
+    assert exc.value.residual == np.linalg.norm(b)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import zpbtrf, zpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zpbtrf
 
 from wavetank import evolution, grid as grid_module
 from wavetank.conormal import FieldHistory
@@ -19,7 +19,9 @@ from wavetank.elliptic import (
 )
 from wavetank.errors import ConfigurationError, SolverFailureError, StepSizeError
 from wavetank.evolution import (
+    EnergyReport,
     FlowState,
+    StepReport,
     advance,
     cfl_dt,
     check_compatibility,
@@ -29,7 +31,7 @@ from wavetank.evolution import (
     metric_ops,
     run,
 )
-from wavetank.grid import Field, l2_norm, make_grid
+from wavetank.grid import Field, fourier_basis, l2_norm, make_grid
 from wavetank.persist import restore_checkpoint, save_checkpoint, write_series_csv
 from wavetank.surface import build_diffeomorphism, surface_from_values
 
@@ -441,18 +443,21 @@ def _solve_iterations(grid, d, rng):
     return it_proj, it_visc
 
 
-def _per_mode_flat_viscous(grid, A, tau):
-    """Upper band storage, one array per rfft mode, of the flat viscous
-    operator, cut from its dense (2 n_z)^2 blocks with (u_j, w_j)
-    interleaved and the bottom rows pinned."""
+def _flat_viscous_bands(grid, A, tau, coupling):
+    """Upper band storage (B0, B1, B2) of the flat viscous operator's z
+    block B0 + s B1 + s^2 B2 at the dy_c factor s, cut from its dense
+    (2 n_z)^2 blocks with (u_j, w_j) interleaved and the bottom rows
+    pinned; B1's u-w block is coupling * tau / 2 D3^T W, its w-u block the
+    conjugate transpose."""
     nz = grid.n_z
     W = A * grid.dy * grid.quadrature_weights_z
     D3 = grid.vertical_derivative_matrix() / A
     L3 = D3.T @ (W[:, None] * D3)
     DW = D3.T * W[None, :]
+    dtype = np.result_type(coupling, float)
 
     def interleave(uu, uw, ww):
-        M = np.zeros((2 * nz, 2 * nz), dtype=complex)
+        M = np.zeros((2 * nz, 2 * nz), dtype=dtype)
         M[0::2, 0::2] = uu
         M[0::2, 1::2] = uw
         M[1::2, 0::2] = np.conj(uw).T
@@ -463,20 +468,47 @@ def _per_mode_flat_viscous(grid, A, tau):
 
     M0 = interleave(np.diag(W) + 0.5 * tau * L3, 0.0, np.diag(W) + tau * L3)
     M0[0, 0] = M0[1, 1] = 1.0
-    M1 = interleave(0.0, 0.5j * tau * DW, 0.0)
+    M1 = interleave(0.0, coupling * (0.5 * tau * DW), 0.0)
     M2 = interleave(tau * np.diag(W), 0.0, 0.5 * tau * np.diag(W))
-    sigma = evolution.SolverOps(grid).sigma
-    rows, cols = np.nonzero(M0 + sigma[1] * M1 + sigma[1] ** 2 * M2)
+    rows, cols = np.nonzero(M0 + M1 + M2)
     kd = int(np.max(np.abs(rows - cols)))
 
     def band(M):
-        ab = np.zeros((kd + 1, 2 * nz), dtype=complex)
+        ab = np.zeros((kd + 1, 2 * nz), dtype=dtype)
         for off in range(kd + 1):
             ab[kd - off, off:] = np.diagonal(M, off)
         return ab
 
-    B0, B1, B2 = band(M0), band(M1), band(M2)
+    return band(M0), band(M1), band(M2)
+
+
+def _per_mode_flat_viscous(grid, A, tau):
+    """Upper band storage, one complex array per rfft mode k, where dy_c
+    is i sigma_k."""
+    sigma = np.sin(2.0 * np.pi * np.arange(grid.n_y // 2 + 1) / grid.n_y) / grid.dy
+    sigma[-1] = 0.0
+    B0, B1, B2 = _flat_viscous_bands(grid, A, tau, 1j)
     return [B0 + s * B1 + s2 * B2 for s, s2 in zip(sigma, sigma ** 2)]
+
+
+def _partner_columns(n_y):
+    """The basis column of the same wavenumber: cos ky <-> sin ky; the
+    constant and Nyquist columns are their own partners."""
+    partner = np.arange(n_y)
+    for i in range(1, n_y - 1):
+        partner[i] = i + 1 if i % 2 else i - 1
+    return partner
+
+
+def _per_column_flat_viscous(grid, A, tau):
+    """Upper band storage, one real array per column i of the real Fourier
+    basis, with u on column i and w on its partner: dy_c maps cos ky to
+    -sigma sin ky and sin ky to sigma cos ky, so the block is
+    B0 + s_i sigma_i B1 + sigma_i^2 B2, s_i = +1 on cos columns."""
+    sigma = evolution.SolverOps(grid).sigma
+    signed = np.where(np.arange(grid.n_y) % 2, sigma, -sigma)
+    B0, B1, B2 = _flat_viscous_bands(grid, A, tau, 1.0)
+    return [B0 + s * B1 + s2 * B2 for s, s2 in zip(signed, sigma ** 2)]
 
 
 def _kron_derivative_matrices(grid):
@@ -520,8 +552,9 @@ class TestDiagonalStorage:
 
 
 class TestStackedViscousFactor:
-    """The flat viscous factor is one band matrix holding every mode; it
-    must reproduce a factorization and solve per mode bit for bit."""
+    """The flat viscous factor is one band matrix holding every column of
+    the real Fourier basis; it must reproduce a factorization and solve per
+    column bit for bit, and invert the flat viscous operator."""
 
     @pytest.mark.parametrize("dims", [(16, 24, "uniform", 0.0),
                                       (32, 72, "tanh", 3.5)])
@@ -531,17 +564,42 @@ class TestStackedViscousFactor:
         g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi,
                       clustering=clustering, stretch_gamma=gamma)
         r = rng.standard_normal(2 * n_y * n_z)
-        modes = np.fft.rfft(r.reshape(2, n_y, n_z), axis=1)
-        x = np.empty((modes.shape[1], 2 * n_z), dtype=complex)
-        x[:, 0::2] = modes[0]
-        x[:, 1::2] = modes[1]
-        for k, ab in enumerate(_per_mode_flat_viscous(g, A, tau)):
-            factor, info = zpbtrf(ab, lower=0)
+        C, partner = fourier_basis(g), _partner_columns(n_y)
+        coefficients = C.T @ r.reshape(2, n_y, n_z)
+        x = np.empty((n_y, 2 * n_z))
+        x[:, 0::2] = coefficients[0]
+        x[:, 1::2] = coefficients[1, partner]
+        for i, ab in enumerate(_per_column_flat_viscous(g, A, tau)):
+            factor, info = dpbtrf(ab, lower=0)
             assert info == 0
-            x[k] = zpbtrs(factor, x[k], lower=0)[0]
-        ref = np.fft.irfft(np.stack([x[:, 0::2], x[:, 1::2]]), n=n_y, axis=1)
+            x[i] = dpbtrs(factor, x[i], lower=0)[0]
+        ref = C @ np.stack([x[:, 0::2], x[partner, 1::2]])
         out = evolution.SolverOps(g).flat_viscous_solve(r, A, tau)
         assert np.array_equal(out, ref.ravel())
+
+    @pytest.mark.parametrize("n_y, n_z", [(16, 24), (32, 72)])
+    @pytest.mark.parametrize("A, tau", [(1.0, 1e-4), (1.3, 0.7)])
+    def test_inverts_the_flat_viscous_operator(self, n_y, n_z, A, tau, rng):
+        # the gap is measured against |M| |x|, the size of the terms that
+        # cancel in M x; on the flat strip the strain pair is
+        # (dy_c, dz_3pt / A) and W_c = A W
+        g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
+        d = build_diffeomorphism(surface_from_values(g, np.zeros(n_y)), A=A, c0=0.5)
+        mops = metric_ops(d)
+        ops = mops.ops
+        r = rng.standard_normal(2 * n_y * n_z)
+        x = ops.flat_viscous_solve(r, A, tau)
+        gap = mops.viscous_operator(x, 0.5 * tau, 1.0) - r
+        gap[ops.bottom] = 0.0
+        ax = np.abs(x)
+        ax[ops.bottom] = 0.0
+        dy, dz, wc = abs(ops.dy_c), abs(ops.dz_3pt) / A, A * ops.weights
+        u1, u2 = ax.reshape(2, -1)
+        y11, y22 = wc * (dy @ u1), wc * (dz @ u2)
+        y12 = 0.5 * wc * (dz @ u1 + dy @ u2)
+        strain = np.concatenate([dy.T @ y11 + dz.T @ y12, dz.T @ y22 + dy.T @ y12])
+        scale = np.concatenate([wc, wc]) * ax + tau * strain
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(scale)
 
     def test_failure_names_the_failing_mode(self):
         # a short, shallow period: sigma_k^2 tau W turns the u block
@@ -655,12 +713,11 @@ class TestSolveWork:
                          "viscous_operator": 1, "flat_viscous_solve": 0}
 
     def test_euler_step_transforms(self, monkeypatch):
-        # every d/dy and every flat Gram inverse is a matrix product; what
-        # an Euler step leaves to the FFT is the cutoff lift of h at both
-        # metrics and of dt h, and, with cold caches, the real Fourier basis
+        # every transform in y is a product with the real Fourier basis:
+        # once the first step has built it, neither an Euler step nor a
+        # viscous one (whose second step runs the flat viscous inverse)
+        # calls the FFT
         monkeypatch.setattr(grid_module, "_VERTICAL_CACHE", {})
-        state = standing_wave_state(make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi),
-                                    a=1e-2)
         counts = {"rfft": 0, "irfft": 0}
         for name in counts:
             def counted(*args, _inner=getattr(np.fft, name), _name=name, **kwargs):
@@ -668,8 +725,15 @@ class TestSolveWork:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        advance(state, cfl_dt(state))
-        assert counts["rfft"] <= 4 and counts["irfft"] <= 4, counts
+        g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+        for eps in (0.0, 1e-3):
+            state = standing_wave_state(g, a=1e-2, eps=eps)
+            dt = cfl_dt(state)
+            state, _ = advance(state, dt)
+            counts.update(rfft=0, irfft=0)
+            _, report = advance(state, dt)
+            assert report.viscous_iterations > 0 or eps == 0.0
+            assert counts == {"rfft": 0, "irfft": 0}, (eps, counts)
 
 
 class TestEnergyReport:
@@ -915,3 +979,17 @@ class TestValidation:
         st = standing_wave_state(wave_grid)
         with pytest.raises(ConfigurationError, match="^eps must be finite"):
             _NON_FINITE_EPS[call](st, eps)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda: StepReport(dt=0.1, projection_residual=0.0, kinematic_residual=np.nan,
+                        tangential_stress_residual=0.0, viscous_iterations=0,
+                        projection_iterations=1, reprojection_iterations=1),
+     "^step report contains non-finite residuals"),
+    (lambda: EnergyReport(t=0.0, kinetic=1.0, gravitational=-1e-3, capillary=0.0,
+                          dissipation_rate=0.0),
+     "^energy components must be finite and >= 0"),
+], ids=["step-report", "energy-report"])
+def test_reports_reject_impossible_values(bad, message):
+    with pytest.raises(ConfigurationError, match=message):
+        bad()

@@ -108,7 +108,7 @@ class TestHorizontalDerivative:
         # d/dy is one product with the Fourier differentiation matrix; it
         # must agree with rfft, i k, irfft on fields and on surface samples
         g = make_grid(n_y, 8, 3.0, 1.0, clustering="uniform")
-        k = g.wavenumbers[:, None]
+        k = 2.0 * np.pi * np.arange(n_y // 2 + 1)[:, None] / g.length_y
         rng = np.random.default_rng(n_y)
         for values in (rng.standard_normal((2,) + g.shape),
                        rng.standard_normal(g.shape),
@@ -210,3 +210,9 @@ class TestField:
     def test_vector_components(self, grid):
         v = Field(grid, np.zeros((2, grid.n_y, grid.n_z)))
         assert v.components == 2
+
+
+def test_integrate_dvt_rejects_a_vector_field(grid):
+    ones = np.ones(grid.shape)
+    with pytest.raises(ConfigurationError, match="^integrate_dVt expects scalar fields"):
+        integrate_dVt(Field(grid, np.stack([ones, ones])), Field(grid, ones))

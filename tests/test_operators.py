@@ -397,3 +397,15 @@ class TestCommutator:
         res = commutator_residual(hist, MultiIndex(k=1), 3, d)
         # static metric: dt commutes with d3_phi exactly
         assert np.max(np.abs(res.values)) < 1e-9
+
+
+@pytest.mark.parametrize("operator, components, message", [
+    (grad_phi, 2, "^grad_phi expects a scalar field"),
+    (div_phi, 1, "^div_phi expects a two-component field"),
+    (strain_phi, 1, "^strain_phi expects a two-component field"),
+], ids=["grad_phi", "div_phi", "strain_phi"])
+def test_operators_reject_the_wrong_field_rank(grid, flat_metric, operator,
+                                               components, message):
+    shape = grid.shape if components == 1 else (components,) + grid.shape
+    with pytest.raises(ConfigurationError, match=message):
+        operator(Field(grid, np.ones(shape)), flat_metric)

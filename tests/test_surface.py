@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from wavetank import grid as grid_module
 from wavetank.errors import ConfigurationError, MetricValidityError
-from wavetank.grid import make_grid, vertical_derivative_values
+from wavetank.grid import fourier_basis, make_grid, vertical_derivative_values
 from wavetank.surface import (
     CutoffSpec,
     build_diffeomorphism,
     extend_surface,
     extension_gain_audit,
+    grad_eta_sobolev_norm,
     random_surface,
     surface_from_values,
     surface_geometry,
@@ -78,7 +79,8 @@ class TestExtendSurface:
             g = make_grid(n_y, 40, length_y, 2.0 * np.pi)
             h = random_surface(g, rng, amplitude=0.3)
             prof = CutoffSpec.evaluate(np.outer(g.wavenumbers, g.z_nodes))
-            expected = np.fft.irfft(prof * h.h_hat[:, None], n=n_y, axis=0)
+            C = fourier_basis(g)
+            expected = C @ (prof * (C.T @ h.h_values)[:, None])
             for _ in range(2):  # built, then read back
                 assert np.array_equal(extend_surface(h).values, expected)
 
@@ -93,7 +95,8 @@ class TestExtendSurface:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_transform_roundtrip(self, grid, seed):
         h = random_surface(grid, np.random.default_rng(seed), amplitude=1.0)
-        back = np.fft.irfft(h.h_hat, n=grid.n_y)
+        C = fourier_basis(grid)
+        back = C @ (C.T @ h.h_values)
         assert np.max(np.abs(back - h.h_values)) < 1e-12
 
     def test_linf_bound_constant_across_refinement(self, rng):
@@ -208,3 +211,18 @@ class TestSurfaceGeometry:
         slope = -a * k * np.sin(k * y)
         exact = -a * k**2 * np.cos(k * y) * (1.0 + slope**2) ** (-1.5)
         assert np.max(np.abs(kappa - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda g: surface_from_values(g, np.zeros(g.n_y + 1)),
+     r"^surface shape \(33,\) does not match n_y=32"),
+    (lambda g: surface_from_values(g, np.full(g.n_y, np.inf)),
+     "^surface contains non-finite values"),
+    (lambda g: CutoffSpec.evaluate(1.5, order=4),
+     "^cutoff derivative order 4 unsupported"),
+    (lambda g: grad_eta_sobolev_norm(surface_from_values(g, np.zeros(g.n_y)), 3),
+     r"^extension audit supports s in 0..2, got 3"),
+], ids=["shape", "non-finite", "cutoff-order", "audit-order"])
+def test_guards_name_their_input(grid, bad, message):
+    with pytest.raises(ConfigurationError, match=message):
+        bad(grid)
