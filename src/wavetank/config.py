@@ -35,7 +35,6 @@ class SimulationConfig:
     dt: float = None  # None means "auto" (CFL)
     cfl_factor: float = 0.5
     t_final: float = 1.0
-    solver_tol: float = 1e-10  # Dirichlet-Neumann solves of `audit` only
     # initial condition
     preset: str = "standing_wave"
     amplitude: float = 1e-3
@@ -66,8 +65,6 @@ class SimulationConfig:
             raise ConfigurationError("t_final must be positive (key 't_final')")
         if self.c0 <= 0:
             raise ConfigurationError("c0 must be positive (key 'c0')")
-        if self.solver_tol <= 0:
-            raise ConfigurationError("solver_tol must be positive (key 'solver_tol')")
         if self.shear_delta <= 0:
             raise ConfigurationError("shear_delta must be positive (key 'shear_delta')")
         if not 0 < self.cfl_factor <= 1:

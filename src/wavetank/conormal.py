@@ -40,7 +40,7 @@ class MultiIndex:
 
 
 class FieldHistory:
-    """Uniformly spaced snapshots of a field, oldest first."""
+    """Uniformly spaced snapshots of one valid Field shape, oldest first."""
 
     def __init__(self, grid, values_list, dt):
         if not values_list:
@@ -48,7 +48,9 @@ class FieldHistory:
         if not (np.isfinite(dt) and dt > 0):
             raise ConfigurationError(f"history dt must be finite and > 0, got {dt}")
         self.grid = grid
-        self.levels = [np.asarray(v, dtype=float) for v in values_list]
+        self.levels = [Field(grid, v).values for v in values_list]
+        if len({v.shape for v in self.levels}) > 1:
+            raise ConfigurationError("history levels differ in shape")
         self.dt = float(dt)
 
     @property

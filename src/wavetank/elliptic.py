@@ -3,9 +3,9 @@
 EllipticOperator(d, bottom_condition) assembles one symmetric stiffness
 matrix per metric (divergence form, cell-averaged E), checks E positive
 definite once (det E = 1, so the check is min(dz_phi) > 0), and serves every
-Dirichlet solve on that metric through one conjugate-gradient loop under one
-iteration budget, CG_BUDGET.  Its Dirichlet-Neumann map is the weak boundary
-flux of the same matrix, so its discrete bilinear form is exactly symmetric.
+Dirichlet solve on that metric through _pcg, the one conjugate-gradient loop
+and stopping rule.  Its Dirichlet-Neumann map is the weak boundary flux of
+the same matrix, so its discrete bilinear form is exactly symmetric.
 Every CG solve, here and in the time stepper, is preconditioned by the exact
 inverse of its operator on the flat strip (h = 0), applied through
 flat_strip_solve as dense products in y and z: the iteration count depends
@@ -47,15 +47,16 @@ def flat_strip_solve(r, C, V, inverse):
     return out
 
 
-def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
+def _pcg(apply, b, x0, precondition, rtol):
     """Preconditioned conjugate gradients; returns (x, iterations).
 
     apply applies the SPD operator; x0 = None is a zero guess and costs no
     application.  precondition returns a new array, an SPD approximation of
-    the inverse of the operator applied to its argument.  The stopping rule
-    is on the unpreconditioned residual, tested before preconditioning: k
-    iterations apply the operator and the preconditioner k times each, plus
-    one application for a given x0.
+    the inverse of the operator applied to its argument.  Every CG solve
+    stops when the unpreconditioned residual, tested before preconditioning,
+    is at most max(rtol |b|, 1e-16 max(|b|, 1)), within CG_BUDGET iterations:
+    k iterations apply the operator and the preconditioner k times each,
+    plus one application for a given x0.
     """
     if x0 is None:
         x = np.zeros_like(b)
@@ -63,13 +64,14 @@ def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
     else:
         x = x0.copy()
         r = b - apply(x)
-    target = max(atol, rtol * np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(b))
+    target = max(rtol * bnorm, 1e-16 * max(bnorm, 1.0))
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
         return x, 0
     p = precondition(r)
     rz = float(r @ p)
-    for it in range(1, maxiter + 1):
+    for it in range(1, CG_BUDGET + 1):
         Ap = apply(p)
         denom = float(p @ Ap)
         if denom <= 0:
@@ -89,10 +91,10 @@ def _pcg(apply, b, x0, precondition, rtol, atol, maxiter):
         p += z
         rz = rz_new
     raise SolverFailureError(
-        f"CG did not converge in {maxiter} iterations (residual {rnorm:.3e}, "
+        f"CG did not converge in {CG_BUDGET} iterations (residual {rnorm:.3e}, "
         f"target {target:.3e})",
         residual=rnorm,
-        iterations=maxiter,
+        iterations=CG_BUDGET,
     )
 
 
@@ -172,9 +174,7 @@ class EllipticOperator:
             b_f,
             None,
             lambda r: flat_strip_solve(r.reshape(g.n_y, -1), C, V, inverse).ravel(),
-            rtol=tol,
-            atol=max(tol * 1e-3, 1e-14),
-            maxiter=CG_BUDGET,
+            tol,
         )
         x[self._free] = sol_f
         return x.reshape(g.shape), iters

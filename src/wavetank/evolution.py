@@ -22,6 +22,7 @@ depends on the surface's amplitude, not on the grid size.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,10 +51,13 @@ from .surface import (
     surface_from_values,
 )
 from .operators import dual_areas, strain_phi
-from .elliptic import CG_BUDGET, _pcg, capillary_trace, surface_traction_parts
+from .elliptic import _pcg, capillary_trace, surface_traction_parts
 from .elliptic import flat_strip_solve
 # not called by the stepper; the benchmark's tracer wraps it at this name
 from .elliptic import decompose_pressure  # noqa: F401
+
+# the time step's relative tolerance of its CG solves (elliptic._pcg)
+STEP_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +285,6 @@ class MetricOps:
         out[ops.top] = psi[ops.top]
         return out
 
-    def _solve(self, operator, rhs, x0, precondition):
-        """The time step's CG solve: relative tolerance 1e-12 and an absolute
-        floor at rounding level."""
-        return _pcg(
-            operator, rhs, x0, precondition, rtol=1e-12,
-            atol=1e-16 * max(float(np.linalg.norm(rhs)), 1.0),
-            maxiter=CG_BUDGET,
-        )
-
     def project(self, v, return_iterations=False):
         """dV_t-orthogonal projection of v onto the complement of gradients.
 
@@ -306,8 +301,8 @@ class MetricOps:
                            self.wc * np.ravel(v[1]))
         rhs[ops.top] = 0.0
         A = self.A
-        psi, iters = self._solve(
-            self.gram, rhs, None, lambda r: ops.flat_gram_solve(r, A)
+        psi, iters = _pcg(
+            self.gram, rhs, None, lambda r: ops.flat_gram_solve(r, A), STEP_RTOL
         )
         corrected = v - self.gradient(psi)
         if return_iterations:
@@ -372,11 +367,12 @@ class MetricOps:
         x0 = u.copy()
         x0[ops.bottom] = 0.0
         A, tau = self.A, 2.0 * eps * dt
-        sol, iters = self._solve(
+        sol, iters = _pcg(
             lambda x: self.viscous_operator(x, eps, dt),
             rhs,
             x0,
             lambda r: ops.flat_viscous_solve(r, A, tau),
+            STEP_RTOL,
         )
         return sol.reshape(2, *self.grid.shape), iters
 
@@ -715,6 +711,10 @@ def run(state: FlowState, t_final, dt, output_every=1, on_step=None):
             raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     if t_final <= state.t:
         raise ConfigurationError("t_final must exceed the starting time")
+    if not (isinstance(output_every, numbers.Integral) and output_every >= 1):
+        raise ConfigurationError(
+            f"output_every must be an integer >= 1, got {output_every}"
+        )
     n_steps = max(1, int(np.ceil((t_final - state.t) / dt - 1e-12)))
     dt = (t_final - state.t) / n_steps
     traj = Trajectory()

@@ -87,14 +87,8 @@ class Grid:
     def shape(self):
         return (self.n_y, self.n_z)
 
-    def _cache_key(self, kind):
-        return (kind, self.n_z, self.depth_H, self.clustering, self.stretch_gamma)
-
     def vertical_derivative_matrix(self):
-        key = self._cache_key("d3")
-        if key not in _VERTICAL_CACHE:
-            _VERTICAL_CACHE[key] = _vertical_derivative_matrix(self.z_nodes)
-        return _VERTICAL_CACHE[key]
+        return self.cached("d3", lambda g: _vertical_derivative_matrix(g.z_nodes))
 
     def sbp_derivative_matrix(self):
         """Wide-centered first derivative with one-sided closures.
@@ -116,19 +110,19 @@ class Grid:
         D[-1, -2] = -1.0 / (z[-1] - z[-2])
         return D
 
-    def modal_profile(self, kind, build):
-        """build(grid), an array over (real Fourier basis column, z node) or
-        an n_y x n_y matrix in y, computed once per set of grid parameters
-        and shared read-only by equal grids."""
-        key = self._cache_key(kind) + (self.n_y, self.length_y)
+    def cached(self, kind, build):
+        """build(grid), an array that depends on the grid alone, computed
+        once per kind and set of grid parameters and shared read-only by
+        equal grids."""
+        key = (kind, self.n_y, self.n_z, self.length_y, self.depth_H,
+               self.clustering, self.stretch_gamma)
         if key not in _VERTICAL_CACHE:
             _VERTICAL_CACHE[key] = build(self)
             _VERTICAL_CACHE[key].setflags(write=False)
         return _VERTICAL_CACHE[key]
 
 
-# Keyed on the node-defining parameters (and, for modal profiles, the
-# horizontal ones); grids are immutable.
+# Keyed on the kind and the six grid parameters; grids are immutable.
 _VERTICAL_CACHE = {}
 
 
@@ -222,7 +216,7 @@ def fourier_basis(grid):
     """The real Fourier basis C of the grid, built once per grid: every
     transform in y is a product with C (coefficients C^T f, samples C c),
     and column i has wavenumber grid.wavenumbers[i]."""
-    return grid.modal_profile("fourier_basis", _real_fourier_basis)
+    return grid.cached("fourier_basis", _real_fourier_basis)
 
 
 def _fourier_derivative_matrix(grid):
@@ -241,7 +235,7 @@ def horizontal_derivative_values(grid, values):
     """Spectral d/dy of raw samples (axis -2 = horizontal, or the only axis
     of surface samples): one product with the Fourier differentiation
     matrix, built once per grid."""
-    D = grid.modal_profile("d_y", _fourier_derivative_matrix)
+    D = grid.cached("d_y", _fourier_derivative_matrix)
     return D @ np.asarray(values, dtype=float)
 
 

@@ -8,6 +8,7 @@ is phi = A z + eta; its vertical derivative must stay above a positive floor
 for the pulled-back operators to make sense.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,7 @@ def cutoff_lift(grid, samples):
     coefficient c_i of basis column i becomes chi(z kappa_i) c_i.  The
     profile chi(z kappa_i) is evaluated once per grid."""
     C = fourier_basis(grid)
-    prof = grid.modal_profile(
+    prof = grid.cached(
         "cutoff", lambda g: CutoffSpec.evaluate(np.outer(g.wavenumbers, g.z_nodes))
     )
     return C @ (prof * (C.T @ samples)[:, None])
@@ -259,6 +260,9 @@ def random_surface(grid, rng, amplitude, max_mode=None):
     n = grid.n_y
     if max_mode is None:
         max_mode = n // 3
+    if not (isinstance(max_mode, numbers.Integral) and 1 <= max_mode < n / 2):
+        raise ConfigurationError(f"max_mode must be an integer >= 1 and < n_y / 2 = "
+                                 f"{n / 2:g}, got {max_mode}")
     ks = np.arange(1, max_mode + 1)
     mags = ks.astype(float) ** -2.0
     phases = rng.uniform(0.0, 2.0 * np.pi, size=ks.size)

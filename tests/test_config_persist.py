@@ -390,10 +390,9 @@ class TestSweepCsv:
 
 
 @pytest.mark.parametrize("doc, message", [
-    ("solver_tol = 0\n", r"^solver_tol must be positive \(key 'solver_tol'\)"),
     ("slope_A = -1\n", r"^slope_A must be positive or auto \(key 'slope_A'\)"),
     ("n_y 16\n", "^line 1: expected 'key = value'"),
-], ids=["solver_tol", "slope_A", "no-equals"])
+], ids=["slope_A", "no-equals"])
 def test_guards_name_their_input(doc, message):
     with pytest.raises(ConfigurationError, match=message):
         parse_config(doc)

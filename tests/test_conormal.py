@@ -308,7 +308,14 @@ class TestTraceAndEmbedding:
      "^expected Field or FieldHistory, got <class 'numpy.ndarray'>"),
     (lambda g: conormal_norm(Field(g, np.ones(g.shape)), "H1", 1),
      "^unknown norm family 'H1'"),
-], ids=["empty-history", "raw-array", "unknown-family"])
+    (lambda g: FieldHistory(g, [np.zeros((3, 3))], dt=1.0),
+     r"^field shape \(3, 3\) does not match grid"),
+    (lambda g: FieldHistory(g, [np.zeros(g.shape), np.zeros((2,) + g.shape)], dt=1.0),
+     r"^history levels differ in shape"),
+    (lambda g: FieldHistory(g, [np.full(g.shape, np.nan)], dt=1.0),
+     "^field contains non-finite values"),
+], ids=["empty-history", "raw-array", "unknown-family", "level-shape", "mixed-levels",
+        "non-finite-level"])
 def test_guards_name_their_input(grid, bad, message):
     with pytest.raises(ConfigurationError, match=message):
         bad(grid)

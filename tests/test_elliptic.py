@@ -161,18 +161,34 @@ class TestSolveElliptic:
         with pytest.raises(ConfigurationError, match=name):
             EllipticOperator(flat_diffeo(g)).solve(tol=1e-10, **data)
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
         # a hard SPD system and a tiny budget must fail loudly
         n = 400
         main = 2.0 * np.ones(n)
         off = -1.0 * np.ones(n - 1)
         A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
         b = np.ones(n)
+        monkeypatch.setattr(elliptic, "CG_BUDGET", 3)
         with pytest.raises(SolverFailureError) as excinfo:
-            _pcg(A.__matmul__, b, np.zeros(n), lambda r: r / 2.0,
-                 rtol=1e-14, atol=1e-16, maxiter=3)
+            _pcg(A.__matmul__, b, np.zeros(n), lambda r: r / 2.0, 1e-14)
         assert excinfo.value.residual is not None
         assert excinfo.value.iterations == 3
+
+    def test_stopping_rule_ignores_the_scale_of_the_data(self):
+        # the solve of s f is s times the solve of f: the stopping target
+        # scales with |b| until the floor at rounding level binds
+        g = make_grid(32, 40, 2.0 * np.pi, 2.0 * np.pi)
+        rng = np.random.default_rng(5)
+        op = EllipticOperator(random_valid_metric(g, rng))
+        f = rng.standard_normal(g.n_y)
+        q, iters = op.solve(f, 1e-8)
+        q_small, iters_small = op.solve(1e-7 * f, 1e-8)
+        assert iters_small == iters
+        assert np.max(np.abs(q_small - 1e-7 * q)) <= 1e-12 * 1e-7 * np.max(np.abs(q))
+        flux = op.dirichlet_neumann(f, 1e-8)
+        flux_small = op.dirichlet_neumann(1e-7 * f, 1e-8)
+        gap = np.max(np.abs(flux_small - 1e-7 * flux))
+        assert gap <= 1e-12 * 1e-7 * np.max(np.abs(flux))
 
 
 BOTTOMS = ("neumann_zero", "dirichlet_zero")
@@ -476,6 +492,6 @@ def test_cg_breakdown_is_a_solver_failure():
     # check CG would step to x = -b and report convergence
     b = np.ones(5)
     with pytest.raises(SolverFailureError, match=r"^CG breakdown \(p.Ap = -5") as exc:
-        _pcg(np.negative, b, None, np.copy, rtol=1e-12, atol=0.0, maxiter=10)
+        _pcg(np.negative, b, None, np.copy, 1e-12)
     assert exc.value.iterations == 0
     assert exc.value.residual == np.linalg.norm(b)

@@ -967,6 +967,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="^t_final must exceed"):
             run(st, t_final=t_final, dt=0.1)
 
+    def test_run_takes_only_an_integer_output_cadence(self, wave_grid):
+        # 0 divided by zero, -1 recorded every step, 2.5 recorded wrong steps
+        st = standing_wave_state(wave_grid)
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ConfigurationError,
+                               match=f"^output_every must be an integer >= 1, got {bad}$"):
+                run(st, t_final=0.2, dt=0.05, output_every=bad)
+        traj = run(st, t_final=0.15, dt=0.05, output_every=np.int64(2))
+        assert traj.failure is None
+        assert np.allclose(traj.times, [0.0, 0.1, 0.15])
+
+    def test_sweep_rejects_a_bad_output_cadence(self, wave_grid):
+        with pytest.raises(ConfigurationError, match="^output_every must be an integer"):
+            epsilon_sweep(lambda eps: standing_wave_state(wave_grid, eps=eps),
+                          [1e-2, 1e-3, 0.0], t_final=0.2, dt=0.05, output_every=0)
+
     @pytest.mark.parametrize("key", _NON_FINITE_CASES)
     def test_non_finite_argument_named(self, wave_grid, key):
         # NaN fails every x <= 0 test, so each guard asks for finite and > 0

@@ -226,3 +226,12 @@ class TestSurfaceGeometry:
 def test_guards_name_their_input(grid, bad, message):
     with pytest.raises(ConfigurationError, match=message):
         bad(grid)
+
+
+@pytest.mark.parametrize("max_mode", [8, 0, -1, 2.5])
+def test_random_surface_refuses_a_mode_off_the_grid(max_mode):
+    # at n_y = 16, mode 8 and 2.5 raised IndexError; 0 and -1 gave a flat surface
+    g = make_grid(16, 16, 2.0 * np.pi, 1.0)
+    message = f"^max_mode must be an integer >= 1 and < n_y / 2 = 8, got {max_mode}$"
+    with pytest.raises(ConfigurationError, match=message):
+        random_surface(g, np.random.default_rng(0), amplitude=0.1, max_mode=max_mode)
