@@ -5,6 +5,7 @@ write next to their outputs, so any run can be reproduced from its own
 artifacts.
 """
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -58,6 +59,10 @@ class SimulationConfig:
             value = getattr(self, f.name)
             if f.type is float and value is not None and not np.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite (key '{f.name}')")
+            if f.type is int and not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{f.name} must be an integer, got {value!r} (key '{f.name}')"
+                )
         for key in ("eps", "gravity_g", "sigma", "amplitude", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigurationError(f"{key} must be >= 0 (key '{key}')")

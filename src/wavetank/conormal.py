@@ -11,6 +11,7 @@ or Z3 applied to an earlier entry, and returns a plain float; its W^{s,inf}
 terms read d_y^a d_z^b from a table of the same kind.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,9 @@ class MultiIndex:
     alpha: tuple = (0, 0)
 
     def __post_init__(self):
-        if self.k < 0 or any(a < 0 for a in self.alpha) or len(self.alpha) != 2:
+        orders = (self.k, *self.alpha)
+        if (len(self.alpha) != 2
+                or not all(isinstance(o, numbers.Integral) and o >= 0 for o in orders)):
             raise ConfigurationError(f"bad multi-index {self}")
 
 

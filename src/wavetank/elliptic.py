@@ -34,16 +34,19 @@ CG_BUDGET = 500
 
 
 def flat_strip_solve(r, C, V, inverse):
-    """C ((C^T r V) * inverse) V^T with C along y (axis 0 of r): the exact
-    inverse of a flat-strip operator that the real Fourier basis C in y
-    (grid.fourier_basis) and the z basis V diagonalize; inverse is one over
-    its spectrum per (basis column, z eigenvector).  Columns of r past the
-    rows of V are pinned nodes (identity rows of the operator) and pass
-    through."""
-    m = V.shape[0]
-    out = np.empty(r.shape)
-    out[:, :m] = C @ ((C.T @ r[:, :m] @ V) * inverse) @ V.T
-    out[:, m:] = r[:, m:]
+    """C ((C^T r V) * inverse) V^T: the exact inverse of a flat-strip
+    operator that a real Fourier basis C in y and the z basis V
+    diagonalize.  C acts along axis 0 of r and V along its last axis; r of
+    shape (n, K, width) holds K independent chains that share C and V
+    (K = 1 for an (n, width) r), and inverse is one over the spectrum per
+    row of the (n K, len(V)) coefficients, (basis column, chain) in that
+    order.  Last-axis entries past the rows of V are pinned nodes
+    (identity rows of the operator) and pass through."""
+    n, m, width = len(C), len(V), r.shape[-1]
+    spectral = (C.T @ r.reshape(n, -1)).reshape(-1, width)
+    spectral[:, :m] = ((spectral[:, :m] @ V) * inverse) @ V.T
+    out = (C @ spectral.reshape(n, -1)).reshape(r.shape)
+    out[..., m:] = r[..., m:]
     return out
 
 

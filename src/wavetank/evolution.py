@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .grid import (
     Field,
+    chain_basis,
     fourier_basis,
     horizontal_derivative_values,
     integrate_boundary,
@@ -67,18 +69,19 @@ _OPS_CACHE = {}
 
 
 def _block_diagonal(X, n_blocks):
-    """n_blocks copies of the banded square X down the diagonal, and of X^T,
-    stored by diagonal: each nonzero diagonal of X, padded with |offset|
-    zeros across the block boundary, tiled; diagonal k of X is diagonal -k
-    of X^T.  The offsets ascend, so each row of a matvec adds its terms in
-    column order, as CSR does."""
+    """n_blocks copies of the banded square X down the diagonal, stored by
+    diagonal straight from X: entry j of stored diagonal k is X[j - k, j]
+    on column j of one block, zero where row j - k leaves the block, and
+    the block's diagonals are tiled.  The offsets ascend, so each row of a
+    matvec adds its terms in column order, as CSR does."""
+    m = X.shape[0]
     rows, cols = np.nonzero(X)
     offsets = np.unique(cols - rows)
-    diagonals = [np.tile(np.append(np.diagonal(X, k), np.zeros(abs(k))), n_blocks)
-                 for k in offsets]
-    n = X.shape[0] * n_blocks
-    return (sp.diags(diagonals, offsets, shape=(n, n), format="dia"),
-            sp.diags(diagonals[::-1], -offsets[::-1], shape=(n, n), format="dia"))
+    j = np.arange(m)
+    i = j - offsets[:, None]
+    data = np.where((i >= 0) & (i < m), X[i % m, j], 0.0)
+    n = m * n_blocks
+    return sp.dia_matrix((np.tile(data, n_blocks), offsets), shape=(n, n))
 
 
 class SolverOps:
@@ -90,15 +93,19 @@ class SolverOps:
     dy_c:  centered periodic horizontal derivative (exactly antisymmetric).
     dz_sbp: wide-centered vertical derivative; with the trapezoid weights it
             satisfies W D + D^T W = boundary matrix exactly.
-    dz_3pt: compact second-order vertical derivative (viscous strain).
+    dz_3pt: compact second-order vertical derivative (viscous strain), built
+            with its transpose on first use: only a viscous run applies it.
 
     On the flat strip (c = A, b = 0) dy_c is circulant, so in the real
     Fourier basis C in y both solver operators split into vertical systems
     per basis column.  dy_c maps column i of wavenumber k to its partner
     column (cos ky to -sigma sin ky, sin ky to sigma cos ky), with
-    sigma[i] = sin(k dy) / dy, zero on the Nyquist column: one z eigenbasis
-    diagonalizes the Gram systems, and the viscous ones, with u on column i
-    and w on its partner interleaved as (u_j, w_j), are banded and factored.
+    sigma[i] = sin(k dy) / dy, zero on the Nyquist column: the viscous
+    systems, with u on column i and w on its partner interleaved as
+    (u_j, w_j), are banded and factored.  dy_c^T dy_c never couples even
+    and odd y-nodes, so the Gram systems are two identical periodic chains
+    of n_y / 2 nodes, which the chain's real Fourier basis and one banded z
+    eigenbasis diagonalize.
     """
 
     def __init__(self, grid):
@@ -106,13 +113,12 @@ class SolverOps:
         n = ny * nz
         dy = grid.dy
         r = 1.0 / (2.0 * dy)
-        self.dy_c = sp.diags(
-            [r, -r, r, -r], [-(n - nz), -nz, nz, n - nz], shape=(n, n), format="dia"
+        self.dy_c = sp.dia_matrix(
+            (np.full((4, n), [[r], [-r], [r], [-r]]), [-(n - nz), -nz, nz, n - nz]),
+            shape=(n, n),
         )
         D = grid.sbp_derivative_matrix()
-        D3 = grid.vertical_derivative_matrix()
-        self.dz_sbp, self.dz_sbp_t = _block_diagonal(D, ny)
-        self.dz_3pt, self.dz_3pt_t = _block_diagonal(D3, ny)
+        self.dz_sbp, self.dz_sbp_t = _block_diagonal(D, ny), _block_diagonal(D.T, ny)
         self.grid = grid
         # the surface and bottom rows of a flattened field; n_y n_z is a
         # multiple of n_z, so bottom also covers both components of a
@@ -125,29 +131,46 @@ class SolverOps:
         sigma = np.sin(grid.wavenumbers * dy) / dy
         sigma[-1] = 0.0
         self.sigma = sigma
-        # flat Gram operator on the non-top rows of basis column i:
-        # dy (A sigma_i^2 W_z + L / A), L = Dz_sbp^T W_z Dz_sbp; diagonalized
-        # as W_z^(-1/2) L W_z^(-1/2) = Q diag(lam) Q^T
+        # flat Gram operator on the non-top rows of chain basis column i:
+        # dy (A s_i W_z + L / A), with s_i = sin^2(k_i dy) / dy^2 the symbol
+        # of dy_c^T dy_c on the chain and L = Dz_sbp^T W_z Dz_sbp; each row
+        # of Dz_sbp spans at most three nodes, so W_z^(-1/2) L W_z^(-1/2) =
+        # Q diag(lam) Q^T is pentadiagonal and eig_banded takes its bands
+        self._chain_symbol = (np.sin(grid.wavenumbers[:ny // 2] * dy) / dy) ** 2
         wz = grid.quadrature_weights_z
         L = (D.T @ (wz[:, None] * D))[:-1, :-1]
         s = 1.0 / np.sqrt(wz[:-1])
-        lam, Q = np.linalg.eigh(s[:, None] * L * s[None, :])
+        S = s[:, None] * L * s[None, :]
+        lam, Q = eig_banded(
+            np.array([np.append(np.diagonal(S, -k), np.zeros(k)) for k in range(3)]),
+            lower=True,
+        )
         self._gram_vectors = s[:, None] * Q
         self._gram_values = lam
         self._gram_inverse = None
         self._viscous_factor = None
 
+    @cached_property
+    def dz_3pt(self):
+        return _block_diagonal(self.grid.vertical_derivative_matrix(), self.grid.n_y)
+
+    @cached_property
+    def dz_3pt_t(self):
+        return _block_diagonal(self.grid.vertical_derivative_matrix().T, self.grid.n_y)
+
     def flat_gram_solve(self, r, A):
         """Exact inverse of the pinned flat-metric Gram operator (top rows
-        pass through): dense matmuls with the real Fourier basis in y and
-        the z eigenbasis, with the inverse spectrum computed once per A."""
+        pass through) on the (n_y / 2, 2 n_z) view of r, whose halves are
+        the even and odd y-chains: dy_c^T dy_c x = (2 x_j - x_{j+2} -
+        x_{j-2}) / (4 dy^2).  The inverse spectrum is computed once per A."""
+        grid = self.grid
         if self._gram_inverse is None or self._gram_inverse[0] != A:
-            denominator = self.grid.dy * (
-                A * self.sigma[:, None] ** 2 + self._gram_values[None, :] / A
+            denominator = grid.dy * (
+                A * self._chain_symbol[:, None] + self._gram_values[None, :] / A
             )
-            self._gram_inverse = (A, 1.0 / denominator)
-        r = r.reshape(self.grid.n_y, self.grid.n_z)
-        return flat_strip_solve(r, fourier_basis(self.grid), self._gram_vectors,
+            self._gram_inverse = (A, np.repeat(1.0 / denominator, 2, axis=0))
+        r = r.reshape(grid.n_y // 2, 2, grid.n_z)
+        return flat_strip_solve(r, chain_basis(grid), self._gram_vectors,
                                 self._gram_inverse[1]).ravel()
 
     def flat_viscous_solve(self, r, A, tau):

@@ -6,6 +6,7 @@ differences on monotone nodes, clustered near z = 0 where the viscous layer
 lives).  Volume integrals carry the pulled-back measure dV_t = dz_phi dy dz.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,9 @@ _VERTICAL_CACHE = {}
 
 def make_grid(n_y, n_z, length_y, depth_H, clustering="tanh", stretch_gamma=3.0):
     """Build a Grid, validating sizes and clustering choice."""
+    for name, value in (("n_y", n_y), ("n_z", n_z)):
+        if not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if n_y % 2 != 0 or n_y < 8:
         raise ConfigurationError(f"n_y must be even and >= 8, got {n_y}")
     if n_z < 8:
@@ -199,16 +203,19 @@ class Field:
         return 1 if self.values.ndim == 2 else self.values.shape[0]
 
 
-def _real_fourier_basis(grid):
-    """The orthonormal real Fourier basis in y as the columns of an n_y x n_y
-    matrix: 1, cos ky, sin ky for each mode 0 < k < n_y / 2 in turn, and
-    cos(pi j), read off the rfft of the identity."""
-    n = grid.n_y
+def _real_fourier_basis(n):
+    """The orthonormal real Fourier basis of n periodic nodes as the columns
+    of an n x n matrix: 1, cos ky, sin ky for each mode 0 < k < n / 2 in
+    turn, and cos(pi j) when n is even, read off the rfft of the identity.
+    Column i has mode ceil(i / 2)."""
     F = np.fft.rfft(np.eye(n), axis=0)
+    pairs = (n - 1) // 2
     C = np.empty((n, n))
-    C[:, 0], C[:, -1] = F[0].real, F[-1].real
-    C[:, 1:-1:2] = np.sqrt(2.0) * F[1:-1].real.T
-    C[:, 2:-1:2] = -np.sqrt(2.0) * F[1:-1].imag.T
+    C[:, 0] = F[0].real
+    C[:, 1:2 * pairs:2] = np.sqrt(2.0) * F[1:pairs + 1].real.T
+    C[:, 2:2 * pairs + 1:2] = -np.sqrt(2.0) * F[1:pairs + 1].imag.T
+    if n % 2 == 0:
+        C[:, -1] = F[-1].real
     return C / np.sqrt(n)
 
 
@@ -216,7 +223,14 @@ def fourier_basis(grid):
     """The real Fourier basis C of the grid, built once per grid: every
     transform in y is a product with C (coefficients C^T f, samples C c),
     and column i has wavenumber grid.wavenumbers[i]."""
-    return grid.cached("fourier_basis", _real_fourier_basis)
+    return grid.cached("fourier_basis", lambda g: _real_fourier_basis(g.n_y))
+
+
+def chain_basis(grid):
+    """The real Fourier basis of the n_y / 2 even (or odd) y-nodes, a chain
+    of spacing 2 dy and period length_y, built once per grid: column i has
+    wavenumber grid.wavenumbers[i]."""
+    return grid.cached("chain_basis", lambda g: _real_fourier_basis(g.n_y // 2))
 
 
 def _fourier_derivative_matrix(grid):

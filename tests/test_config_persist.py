@@ -127,6 +127,15 @@ class TestParseConfig:
             SimulationConfig(n_y=16, n_z=24, mode_k=mode_k)
         assert SimulationConfig(n_y=16, n_z=24, mode_k=7).mode_k == 7
 
+    @pytest.mark.parametrize("key, value", [("mode_k", 1.5), ("snapshot_every", 2.5)])
+    def test_non_integer_value_of_an_integer_key_rejected(self, key, value):
+        # parse_config coerces with int(); a direct caller is checked here
+        with pytest.raises(ConfigurationError,
+                           match=f"{key} must be an integer.*key '{key}'"):
+            SimulationConfig(n_y=16, n_z=24, **{key: value})
+        config = SimulationConfig(n_y=16, n_z=24, **{key: np.int64(2)})
+        assert getattr(config, key) == 2
+
 
 class TestPresets:
     def test_equilibrium_zero(self):

@@ -95,6 +95,11 @@ class TestApplyConormal:
         with pytest.raises(ConfigurationError):
             MultiIndex(alpha=(1, -2))
 
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MultiIndex(k=1.5)
+        assert MultiIndex(k=np.int64(1)).k == 1
+
 
 class TestConormalNorm:
     def test_zero_field_all_families(self, grid):

@@ -640,7 +640,8 @@ class TestPreconditionedSolves:
         d = build_diffeomorphism(h, A=None, c0=0.25)
         assert max(_solve_iterations(g, d, rng)) <= 20
 
-    @pytest.mark.parametrize("n_y, n_z", [(16, 24), (48, 64)])
+    # n_y = 10 and 18 split into chains of odd length
+    @pytest.mark.parametrize("n_y, n_z", [(16, 24), (48, 64), (10, 11), (18, 24)])
     @pytest.mark.parametrize("A", [1.0, 1.7])
     def test_flat_gram_solve_inverts_the_flat_gram(self, n_y, n_z, A, rng):
         # the gap is measured against |G| |x|, the size of the terms that
@@ -667,6 +668,42 @@ class TestPreconditionedSolves:
         for A in (1.0, 1.7, 1.0):
             fresh = evolution.SolverOps(grid).flat_gram_solve(r, A)
             assert np.array_equal(ops.flat_gram_solve(r, A), fresh)
+
+
+class TestChainGramInverse:
+    """dy_c^T dy_c never couples even and odd y-nodes, so the flat Gram
+    inverse runs on two chains of n_y / 2 nodes; it must agree with the
+    inverse through the full grid's real Fourier basis, where column i
+    carries dy_c^T dy_c's symbol sigma_i^2."""
+
+    @pytest.mark.parametrize("n_y", [8, 10, 16, 18, 48])
+    @pytest.mark.parametrize("A", [1.0, 1.7])
+    def test_matches_the_full_basis_route(self, n_y, A, rng):
+        g = make_grid(n_y, 24, 2.0 * np.pi, 2.0 * np.pi)
+        ops = evolution.SolverOps(g)
+        C, V, m = fourier_basis(g), ops._gram_vectors, g.n_z - 1
+        inverse = 1.0 / (g.dy * (A * ops.sigma[:, None] ** 2
+                                 + ops._gram_values[None, :] / A))
+        r = rng.standard_normal(g.shape)
+        ref = r.copy()
+        ref[:, :m] = C @ ((C.T @ r[:, :m] @ V) * inverse) @ V.T
+        out = ops.flat_gram_solve(r.ravel(), A).reshape(g.shape)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(out[:, m:], r[:, m:])
+
+
+def test_euler_steps_never_build_the_strain_pair(monkeypatch):
+    # only the viscous strain applies dz_3pt and its transpose
+    monkeypatch.setattr(evolution, "_OPS_CACHE", {})
+    g = make_grid(16, 24, 2.0 * np.pi, 2.0 * np.pi)
+    state = standing_wave_state(g, a=1e-2, eps=0.0)
+    dt = cfl_dt(state)
+    for _ in range(3):
+        state, _ = advance(state, dt)
+    ops = evolution.solver_ops(g)
+    assert "dz_3pt" not in vars(ops) and "dz_3pt_t" not in vars(ops)
+    metric_ops(state.d).viscous_operator(np.zeros(2 * g.n_y * g.n_z), 0.1, 1.0)
+    assert "dz_3pt" in vars(ops) and "dz_3pt_t" in vars(ops)
 
 
 class TestSolveWork:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from wavetank.errors import ConfigurationError, MetricValidityError
 from wavetank.grid import (
     Field,
+    _real_fourier_basis,
     d_horizontal,
     d_vertical,
     horizontal_derivative_values,
@@ -59,6 +60,35 @@ class TestMakeGrid:
         full.update(kwargs)
         with pytest.raises(ConfigurationError):
             make_grid(**full)
+
+
+    @pytest.mark.parametrize("name", ["n_y", "n_z"])
+    def test_non_integer_size_rejected(self, name):
+        full = dict(n_y=16, n_z=16, length_y=2.0 * np.pi, depth_H=1.0)
+        full[name] = 16.0
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            make_grid(**full)
+        full[name] = np.int64(16)
+        assert make_grid(**full).shape == (16, 16)
+
+
+class TestRealFourierBasis:
+    @pytest.mark.parametrize("n", [5, 9, 24])
+    def test_orthonormal_with_the_column_wavenumbers(self, n):
+        C = _real_fourier_basis(n)
+        assert np.max(np.abs(C.T @ C - np.eye(n))) <= 1e-14
+        # column i carries mode k = ceil(i / 2) at angle t = 2 pi k / n per
+        # node: the neighbour mean scales it by cos t, and the centred
+        # difference maps cos to -sin t times sin and sin to sin t times cos
+        t = 2.0 * np.pi * ((np.arange(n) + 1) // 2) / n
+        up, down = np.roll(C, -1, axis=0), np.roll(C, 1, axis=0)
+        assert np.max(np.abs(0.5 * (up + down) - C * np.cos(t))) <= 1e-14
+        pairs = (n - 1) // 2
+        cos, sin = slice(1, 2 * pairs, 2), slice(2, 2 * pairs + 1, 2)
+        diff = 0.5 * (up - down)
+        assert np.max(np.abs(diff[:, cos] + np.sin(t[cos]) * C[:, sin])) <= 1e-14
+        assert np.max(np.abs(diff[:, sin] - np.sin(t[sin]) * C[:, cos])) <= 1e-14
+        assert np.max(np.abs(diff[:, 0])) <= 1e-14
 
 
 class TestHorizontalDerivative:
