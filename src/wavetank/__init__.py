@@ -7,6 +7,12 @@ ships a diagnostics layer that measures energy identities, operator
 cross-validations, and the vanishing-viscosity limit as executable checks.
 """
 
+# BLAS rounds its products differently at each thread count: one thread, set
+# before numpy loads, makes a run's bytes the same on every machine.
+import os
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .grid import Field, Grid, d_horizontal, d_vertical, integrate_dVt, make_grid
 from .surface import (
     CutoffSpec,

@@ -3,8 +3,8 @@
 Every command writes an effective-config file (all defaults applied) and a
 machine-readable status file to the output directory, then exits 0 on
 success or 1 with the error class recorded there and printed on stderr.  A
-command handler takes the config and the prepared output directory and
-raises on failure; main writes the status.
+command handler takes the config and the prepared output directory, raises
+on failure and may return fields for the status; main writes the status.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WavetankError
+from .errors import HistoryDepthError, WavetankError
 from .config import (
     SimulationConfig,
     apply_overrides,
@@ -24,14 +24,14 @@ from .config import (
     serialize_config,
 )
 from .evolution import check_compatibility, resolve_dt, run
-from .diagnostics import epsilon_sweep, korn_audit
+from .diagnostics import epsilon_sweep, korn_audit, linear_frequency, measured_frequency
 from .conormal import (
     anisotropic_embedding_audit,
     random_smooth_field,
     trace_inequality_audit,
 )
 from .elliptic import EllipticOperator, dn_coercivity_ratio
-from .grid import Field
+from .grid import Field, fourier_basis
 from .surface import build_diffeomorphism, extension_gain_audit, random_surface
 from .persist import (
     save_checkpoint,
@@ -65,14 +65,29 @@ def _prepare_out(config) -> Path:
     return out
 
 
-def _write_status(out: Path, status, error=None):
-    payload = {"status": status}
-    if error is not None:
-        payload["error_class"] = type(error).__name__
-        payload["message"] = str(error)
+def _write_status(out: Path, payload):
     (out / "status.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
+
+
+def _standing_wave_report(config, traj):
+    """The wave mode's linear and measured frequency and the energy drift
+    |E_end - E_0| / E_0; a value that cannot be formed is None."""
+    grid = traj.states[0].v.grid
+    col = 2 * config.mode_k - 1  # the basis column of cos(k y)
+    amps = np.array([s.h.h_values for s in traj.states]) @ fourier_basis(grid)[:, col]
+    omega = linear_frequency(grid.wavenumbers[col], config.gravity_g,
+                             config.sigma, grid.depth_H)
+    try:
+        measured = measured_frequency(traj.times, amps)
+    except HistoryDepthError:  # fewer than two zero crossings
+        measured = None
+    E0, E1 = traj.energy[0].total, traj.energy[-1].total
+    drift = float(abs(E1 - E0) / E0) if E0 != 0.0 else None
+    return {"omega_linear": float(omega), "omega_measured": measured,
+            "energy_drift": drift}
 
 
 def cmd_run(config: SimulationConfig, out: Path):
@@ -92,6 +107,8 @@ def cmd_run(config: SimulationConfig, out: Path):
     save_checkpoint(out / "snapshot_final.wtk", traj.states[-1])
     if traj.failure is not None:
         raise traj.failure
+    if config.preset == "standing_wave":
+        return _standing_wave_report(config, traj)
 
 
 def cmd_sweep(config: SimulationConfig, out: Path):
@@ -112,7 +129,7 @@ def cmd_sweep(config: SimulationConfig, out: Path):
         if eps in result.profiles:
             zeta, profile = result.profiles[eps]
             write_profile_csv(sub / "layer_profile.csv", zeta, profile)
-    write_sweep_csv(out / "sweep.csv", result)
+    print(write_sweep_csv(out / "sweep.csv", result), end="")
     if result.failed:
         failing = ", ".join(f"{eps:g}" for eps in result.failed)
         raise WavetankError(f"sweep members failed: {failing}")
@@ -207,12 +224,13 @@ def main(argv=None) -> int:
     }[args.command]
     out = _prepare_out(config)
     try:
-        handler(config, out)
+        report = handler(config, out) or {}
     except WavetankError as exc:
-        _write_status(out, "error", exc)
+        _write_status(out, {"status": "error", "error_class": type(exc).__name__,
+                            "message": str(exc)})
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _write_status(out, "ok")
+    _write_status(out, {"status": "ok", **report})
     return 0
 
 

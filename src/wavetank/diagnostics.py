@@ -1,8 +1,8 @@
 """Executable forms of the identities and limit statements the solver targets.
 
 Everything here is pure postprocessing over immutable trajectories: the
-exact energy identity as a residual series, Korn and reconstruction audits,
-and the viscosity sweep with its boundary-layer profiles.
+exact energy identity as a residual series, the linear wave's frequency,
+Korn and reconstruction audits, and the viscosity sweep with its layers.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +36,24 @@ def energy_identity_residual(trajectory):
     D = np.array([e.dissipation_rate for e in trajectory.energy])
     residual = (E[2:] - E[:-2]) / (ts[2:] - ts[:-2]) + D[1:-1]
     return ts[1:-1], residual, float(np.max(np.abs(residual)))
+
+
+def linear_frequency(k, g, sigma, depth):
+    """Angular frequency of the linear gravity-capillary wave of wavenumber
+    k on water of the given depth: omega^2 = (g k + sigma k^3) tanh(k H)."""
+    return np.sqrt((g * k + sigma * k**3) * np.tanh(k * depth))
+
+
+def measured_frequency(times, amplitudes):
+    """Angular frequency of a sampled oscillation, pi over the mean spacing
+    of its linearly interpolated zero crossings.  Needs two crossings."""
+    ts = np.asarray(times)
+    amp = np.asarray(amplitudes)
+    idx = np.where(np.diff(np.sign(amp)) != 0)[0]
+    if idx.size < 2:
+        raise HistoryDepthError(f"a frequency needs 2 zero crossings, found {idx.size}")
+    tz = ts[idx] - amp[idx] * (ts[idx + 1] - ts[idx]) / (amp[idx + 1] - amp[idx])
+    return float(np.pi / np.mean(np.diff(tz)))
 
 
 def korn_audit(corpus):
@@ -103,7 +121,9 @@ def sn_reconstruction_audit(v, d):
 
 @dataclass
 class SweepResult:
-    """Aligned cross-viscosity comparison against the inviscid member."""
+    """Aligned cross-viscosity comparison against the inviscid member.
+    layer_amplitude[eps] is the largest value of the final layer profile
+    within 20 layer widths of the surface, over sqrt(eps)."""
 
     eps_list: list
     sup_v_l2: dict = field(default_factory=dict)
@@ -112,6 +132,7 @@ class SweepResult:
     dz_norm_max: dict = field(default_factory=dict)
     dzz_top_max: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)
+    layer_amplitude: dict = field(default_factory=dict)
     trajectories: dict = field(default_factory=dict)
     failed: dict = field(default_factory=dict)
 
@@ -193,7 +214,7 @@ def epsilon_sweep(make_state, eps_list, t_final, dt, output_every=4):
                 )
             result.sup_v_l2[eps] = sup_v
             result.sup_h_h1[eps] = sup_h
-            result.profiles[eps] = layer_profile(
-                traj.states[-1], ref.states[-1], eps
-            )
+            zeta, profile = layer_profile(traj.states[-1], ref.states[-1], eps)
+            result.profiles[eps] = zeta, profile
+            result.layer_amplitude[eps] = float(np.max(profile[zeta >= -20.0])) / np.sqrt(eps)
     return result

@@ -170,25 +170,29 @@ def write_series_csv(path, trajectory):
 
 
 def write_sweep_csv(path, sweep_result):
-    """Cross-viscosity comparison table.
+    """Cross-viscosity comparison table; returns the text it wrote.
 
     A comparison that never ran, for a failed member or for every member
     when the eps = 0 reference failed, reads nan.  The reference's own row
-    reads 0 in the two distance columns.
+    reads 0 in the two distance columns and nan in layer_amplitude.
     """
     res = sweep_result
     tables = (res.sup_v_l2, res.sup_h_h1, res.conormal_max, res.dz_norm_max,
               res.dzz_top_max)
-    rows = ["eps,sup_v_l2,sup_h_h1,conormal_max,dz_norm_max,dzz_top_max,failed"]
+    rows = ["eps,sup_v_l2,sup_h_h1,conormal_max,dz_norm_max,dzz_top_max,"
+            "layer_amplitude,failed"]
     for eps in res.eps_list:
         # conormal_max holds exactly the members that were compared
         if eps in res.conormal_max:
             cells = [_fmt(table.get(eps, 0.0)) for table in tables]
+            cells.append(_fmt(res.layer_amplitude.get(eps, np.nan)))
         else:
-            cells = ["nan"] * len(tables)
+            cells = ["nan"] * (len(tables) + 1)
         rows.append(",".join([_fmt(eps)] + cells + ["1" if eps in res.failed else "0"]))
+    text = "\n".join(rows) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(text)
+    return text
 
 
 def write_profile_csv(path, zeta, profile):

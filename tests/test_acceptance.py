@@ -17,7 +17,12 @@ from wavetank.conormal import (
     MultiIndex,
     apply_z3,
 )
-from wavetank.diagnostics import epsilon_sweep, korn_audit
+from wavetank.diagnostics import (
+    epsilon_sweep,
+    korn_audit,
+    linear_frequency,
+    measured_frequency,
+)
 from wavetank.elliptic import (
     EllipticOperator,
     decompose_pressure,
@@ -61,9 +66,8 @@ def standing_wave(g, a=1e-3, eps=0.0):
     )
 
 
-def wave_period(g, k=1, grav=1.0, sigma=1.0):
-    kappa = 2.0 * np.pi * k / g.length_y
-    omega = np.sqrt((grav * kappa + sigma * kappa**3) * np.tanh(kappa * g.depth_H))
+def wave_period(g):
+    omega = linear_frequency(2.0 * np.pi / g.length_y, 1.0, 1.0, g.depth_H)
     return 2.0 * np.pi / omega, omega
 
 
@@ -236,11 +240,8 @@ def test_criterion_05_dispersion_oracle():
     period, omega = wave_period(g)
     traj = run(standing_wave(g, a=1e-3), t_final=5 * period, dt=period / 80)
     assert traj.failure is None
-    ts = np.array(traj.times)
-    amp = np.array([np.real(np.fft.rfft(s.h.h_values)[1]) for s in traj.states])
-    idx = np.where(np.diff(np.sign(amp)) != 0)[0]
-    tz = ts[idx] - amp[idx] * (ts[idx + 1] - ts[idx]) / (amp[idx + 1] - amp[idx])
-    measured = np.pi / np.mean(np.diff(tz))
+    amp = [np.real(np.fft.rfft(s.h.h_values)[1]) for s in traj.states]
+    measured = measured_frequency(traj.times, amp)
     rel = abs(measured - omega) / omega
     verdict(5, rel < 0.02, f"omega measured {measured:.5f} vs theory {omega:.5f} ({rel:.2%})")
 
@@ -412,11 +413,7 @@ def test_criterion_10_inviscid_limit_sweep():
     strictly_decreasing = all(a > b for a, b in zip(sups, sups[1:]))
     conormals = [result.conormal_max[eps] for eps in eps_list]
     conormal_ratio = max(conormals) / min(conormals)
-    amps = {}
-    for eps in eps_list[:-1]:
-        zeta, prof = result.profiles[eps]
-        amps[eps] = float(np.max(prof[zeta >= -20.0])) / np.sqrt(eps)
-    amp_vals = list(amps.values())
+    amp_vals = [result.layer_amplitude[eps] for eps in eps_list[:-1]]
     amp_spread = max(amp_vals) / min(amp_vals)
 
     # stretched profiles collapse (relative L2 after sqrt(eps) normalization)

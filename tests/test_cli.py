@@ -1,13 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavetank
 from wavetank.cli import main
+from wavetank.diagnostics import linear_frequency
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_status(out):
+    """status.json as strict JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"status.json holds {constant}")
+    return json.loads((out / "status.json").read_text(), parse_constant=refuse)
+
+
+# the standing wave's period on the default 2 pi x 2 pi strip
+PERIOD = float(2.0 * np.pi / linear_frequency(1.0, 1.0, 1.0, 2.0 * np.pi))
 
 
 BASE = [
@@ -91,6 +108,34 @@ class TestRunCommand:
         status = json.loads((out / "status.json").read_text())
         assert status["error_class"] == "StepSizeError"
 
+    def test_standing_wave_frequency_and_energy_drift(self, tmp_path):
+        # one period at 20 steps a period on the 16x24 grid
+        out = tmp_path / "wave"
+        code = run_cli("run", "--out", str(out), *BASE[:4],
+                       "--override", f"t_final={PERIOD!r}",
+                       "--override", f"dt={PERIOD / 20.0!r}")
+        assert code == 0
+        status = read_status(out)
+        omega = status["omega_linear"]
+        assert abs(status["omega_measured"] - omega) / omega < 0.02
+        assert status["energy_drift"] < 1e-3
+
+    def test_unformed_values_are_null(self, tmp_path):
+        # t_final = 1 is short of the wave's first zero crossing
+        out = tmp_path / "default"
+        assert run_cli("run", "--out", str(out)) == 0
+        assert '"omega_measured": null' in (out / "status.json").read_text()
+        status = read_status(out)
+        assert status["omega_linear"] == linear_frequency(1.0, 1.0, 1.0,
+                                                          2.0 * np.pi)
+        assert 0.0 < status["energy_drift"] < 1e-3
+        # a wave of amplitude 0 has no energy to drift from
+        flat = tmp_path / "flat"
+        assert run_cli("run", "--out", str(flat), *BASE,
+                       "--override", "amplitude=0") == 0
+        status = read_status(flat)
+        assert status["omega_measured"] is None and status["energy_drift"] is None
+
     def test_snapshots_at_cadence(self, tmp_path):
         out = tmp_path / "snaps"
         code = run_cli(
@@ -123,6 +168,25 @@ class TestSweepCommand:
         assert (out / "eps_0.01" / "layer_profile.csv").exists()
         status = json.loads((out / "status.json").read_text())
         assert status["status"] == "ok"
+
+    def test_sweep_table_printed_and_distances_decrease(self, tmp_path, capsys):
+        # a quarter period at the automatic dt on the 16x24 grid
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--out", str(out), *BASE[:4],
+                       "--override", "stretch_gamma=3.5",
+                       "--override", f"t_final={PERIOD / 4.0!r}")
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed == (out / "sweep.csv").read_text()
+        header, *rows = [line.split(",") for line in printed.splitlines()]
+        assert header[0] == "eps"
+        assert [float(row[0]) for row in rows] == [1e-2, 1e-3, 1e-4, 0.0]
+        # the distance to the inviscid member shrinks with eps
+        dist = [float(row[1]) for row in rows[:-1]]
+        assert all(a > b for a, b in zip(dist, dist[1:]))
+        assert all(d > 0.0 for d in dist) and rows[-1][1] == "0.0"
+        amps = [float(row[header.index("layer_amplitude")]) for row in rows]
+        assert all(a > 0.0 for a in amps[:-1]) and np.isnan(amps[-1])
 
     def test_default_viscosities_are_declared(self, tmp_path, capsys):
         # the effective config names the four members a default sweep runs;
@@ -158,7 +222,7 @@ class TestSweepCommand:
         assert [row.split(",")[0] for row in rows] == ["0.01", "0.001", "0.0001",
                                                        "0.0"]
         for row in rows:
-            assert row.split(",")[1:] == ["nan"] * 5 + ["1"]
+            assert row.split(",")[1:] == ["nan"] * 6 + ["1"]
         assert json.loads((out / "status.json").read_text())["status"] == "error"
 
 
@@ -262,3 +326,32 @@ class TestCheckCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("configuration error: stretch_gamma")
         assert not out.exists()
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_snapshot_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Two steps of a 96x128 viscous run write the same snapshot with the
+    BLAS thread variables unset as with them at 1.  The 96x128 products are
+    large enough that a threaded BLAS rounds them differently; on a 1-core
+    runner both runs take one thread, and this test cannot fail there."""
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    snapshots = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREADS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "wavetank.cli", "run", "--out", str(out),
+             "--override", "n_y=96", "--override", "n_z=128",
+             "--override", "eps=0.001", "--override", "dt=0.008",
+             "--override", "t_final=0.016"],
+            env=env, check=True, timeout=300, capture_output=True,
+        )
+        snapshots.append((out / "snapshot_final.wtk").read_bytes())
+    assert snapshots[0] == snapshots[1]

@@ -357,7 +357,7 @@ def _sweep_rows(tmp_path, result):
 
 
 COMPARISONS = ("sup_v_l2", "sup_h_h1", "conormal_max", "dz_norm_max",
-               "dzz_top_max")
+               "dzz_top_max", "layer_amplitude")
 
 
 class TestSweepCsv:
@@ -373,6 +373,7 @@ class TestSweepCsv:
             if eps > 0.0:
                 result.sup_v_l2[eps] = eps
                 result.sup_h_h1[eps] = 2.0 * eps
+                result.layer_amplitude[eps] = 4.0 * eps
         return result
 
     def test_failed_member_reads_nan(self, tmp_path):
@@ -385,6 +386,8 @@ class TestSweepCsv:
         assert float(rows[1e-4]["sup_h_h1"]) == 2e-4
         # the reference against itself
         assert rows[0.0]["sup_v_l2"] == rows[0.0]["sup_h_h1"] == "0.0"
+        assert rows[0.0]["layer_amplitude"] == "nan"
+        assert float(rows[1e-4]["layer_amplitude"]) == 4e-4
         assert float(rows[0.0]["conormal_max"]) == 1.0
         assert all(rows[eps]["failed"] == "0" for eps in (1e-2, 1e-4, 0.0))
 

@@ -6,6 +6,8 @@ from wavetank.diagnostics import (
     epsilon_sweep,
     korn_audit,
     layer_profile,
+    linear_frequency,
+    measured_frequency,
     sn_reconstruction_audit,
 )
 from wavetank.errors import ConfigurationError, HistoryDepthError
@@ -173,6 +175,25 @@ class TestSnReconstruction:
         assert gaps[1] < gaps[0] / 1.8
 
 
+class TestLinearWave:
+    def test_measured_frequency_of_a_cosine(self):
+        # 20 samples a period put every crossing at the same phase of the
+        # sampling, so the interpolation errors cancel in the spacings
+        omega = 1.3
+        t = np.arange(41) * (2.0 * np.pi / omega / 20.0)
+        measured = measured_frequency(t, np.cos(omega * t + 0.3))
+        assert measured == pytest.approx(omega, rel=1e-12, abs=0.0)
+        quarter = t[:6]
+        with pytest.raises(HistoryDepthError, match="found 1$"):
+            measured_frequency(quarter, np.cos(omega * quarter + 0.3))
+
+    def test_linear_frequency_on_the_criterion_5_grid(self):
+        # the value the tests' own expression gave before it moved here
+        g = make_grid(32, 48, 2.0 * np.pi, 2.0 * np.pi, clustering="tanh")
+        omega = linear_frequency(2.0 * np.pi / g.length_y, 1.0, 1.0, g.depth_H)
+        assert omega == 1.4142086305348378
+
+
 class TestSweep:
     def test_validation(self, wave_grid_small):
         mk = lambda eps: zero_state(wave_grid_small, eps)
@@ -194,6 +215,7 @@ class TestSweep:
         assert result.complete
         assert all(v == 0.0 for v in result.sup_v_l2.values())
         assert all(v == 0.0 for v in result.sup_h_h1.values())
+        assert result.layer_amplitude == {1e-2: 0.0, 1e-3: 0.0}
 
     def test_layer_profile_zero_for_equal_states(self, wave_grid_small):
         st = zero_state(wave_grid_small)

@@ -10,7 +10,12 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, zpbtrf
 
 from wavetank import evolution, grid as grid_module
 from wavetank.conormal import FieldHistory
-from wavetank.diagnostics import epsilon_sweep, layer_profile
+from wavetank.diagnostics import (
+    epsilon_sweep,
+    layer_profile,
+    linear_frequency,
+    measured_frequency,
+)
 from wavetank.elliptic import (
     EllipticOperator,
     capillary_trace,
@@ -45,9 +50,8 @@ def standing_wave_state(g, a=1e-3, k=1, eps=0.0, g_grav=1.0, sigma=1.0):
     )
 
 
-def dispersion_omega(g, k=1, g_grav=1.0, sigma=1.0):
-    kappa = 2.0 * np.pi * k / g.length_y
-    return np.sqrt((g_grav * kappa + sigma * kappa**3) * np.tanh(kappa * g.depth_H))
+def dispersion_omega(g):
+    return linear_frequency(2.0 * np.pi / g.length_y, 1.0, 1.0, g.depth_H)
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +168,8 @@ class TestStandingWave:
         period = 2.0 * np.pi / omega
         traj = run(st, t_final=3.0 * period, dt=period / 80.0)
         assert traj.failure is None
-        ts = np.array(traj.times)
-        amp = np.array(
-            [np.real(np.fft.rfft(s.h.h_values)[1]) for s in traj.states]
-        )
-        idx = np.where(np.diff(np.sign(amp)) != 0)[0]
-        tz = ts[idx] - amp[idx] * (ts[idx + 1] - ts[idx]) / (amp[idx + 1] - amp[idx])
-        measured = np.pi / np.mean(np.diff(tz))
+        amp = [np.real(np.fft.rfft(s.h.h_values)[1]) for s in traj.states]
+        measured = measured_frequency(traj.times, amp)
         assert abs(measured - omega) / omega < 0.02
 
     def test_viscous_amplitude_decay_matches_linearized_oracle(self):
