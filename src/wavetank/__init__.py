@@ -13,16 +13,8 @@ import os
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-from .grid import Field, Grid, d_horizontal, d_vertical, integrate_dVt, make_grid
-from .surface import (
-    CutoffSpec,
-    Diffeomorphism,
-    SurfaceState,
-    build_diffeomorphism,
-    extend_surface,
-    surface_from_values,
-    surface_geometry,
-)
+from .grid import Field, Grid, integrate_dVt, make_grid
+from .surface import CutoffSpec, Diffeomorphism, SurfaceState, build_diffeomorphism
 from .conormal import FieldHistory, MultiIndex, apply_conormal, conormal_norm
 from .operators import (
     commutator_residual,

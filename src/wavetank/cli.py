@@ -192,13 +192,15 @@ def main(argv=None) -> int:
         prog="wavetank",
         description="Free-surface Navier-Stokes solver and verification lab",
     )
+    commands = {
+        "run": (cmd_run, "integrate one scenario and write series/snapshots"),
+        "sweep": (cmd_sweep, "run the viscosity sweep and write comparison tables"),
+        "audit": (cmd_audit, "measure the property-audit constants"),
+        "check": (cmd_check,
+                  "validate configuration and compatibility of initial data"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "integrate one scenario and write series/snapshots"),
-        ("sweep", "run the viscosity sweep and write comparison tables"),
-        ("audit", "measure the property-audit constants"),
-        ("check", "validate configuration and compatibility of initial data"),
-    ):
+    for name, (_, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
@@ -216,12 +218,7 @@ def main(argv=None) -> int:
     except WavetankError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    handler = {
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "audit": cmd_audit,
-        "check": cmd_check,
-    }[args.command]
+    handler, _ = commands[args.command]
     out = _prepare_out(config)
     try:
         report = handler(config, out) or {}

@@ -46,13 +46,22 @@ def linear_frequency(k, g, sigma, depth):
 
 def measured_frequency(times, amplitudes):
     """Angular frequency of a sampled oscillation, pi over the mean spacing
-    of its linearly interpolated zero crossings.  Needs two crossings."""
+    of its zero crossings.  Needs two crossings.
+
+    A sign change between neighbouring samples crosses where the line
+    through them does; samples exactly 0 between samples of opposite sign
+    cross once, at the first of them, and between samples of one sign not
+    at all."""
     ts = np.asarray(times)
     amp = np.asarray(amplitudes)
-    idx = np.where(np.diff(np.sign(amp)) != 0)[0]
+    nonzero = np.flatnonzero(amp)
+    idx = np.flatnonzero(np.diff(np.sign(amp[nonzero])) != 0)
     if idx.size < 2:
         raise HistoryDepthError(f"a frequency needs 2 zero crossings, found {idx.size}")
-    tz = ts[idx] - amp[idx] * (ts[idx + 1] - ts[idx]) / (amp[idx + 1] - amp[idx])
+    i, j = nonzero[idx], nonzero[idx + 1]
+    tz = np.where(
+        j == i + 1, ts[i] - amp[i] * (ts[j] - ts[i]) / (amp[j] - amp[i]), ts[i + 1]
+    )
     return float(np.pi / np.mean(np.diff(tz)))
 
 

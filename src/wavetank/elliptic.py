@@ -27,7 +27,6 @@ from .operators import (
     linear_element_matrices,
     strain_phi,
 )
-from .surface import surface_geometry
 
 # iterations allowed to every CG solve; the most any solve takes is about 30
 CG_BUDGET = 500
@@ -59,7 +58,8 @@ def _pcg(apply, b, x0, precondition, rtol):
     stops when the unpreconditioned residual, tested before preconditioning,
     is at most max(rtol |b|, 1e-16 max(|b|, 1)), within CG_BUDGET iterations:
     k iterations apply the operator and the preconditioner k times each,
-    plus one application for a given x0.
+    plus one application for a given x0.  A non-finite b or starting
+    residual, and a p.Ap that is not positive, raise SolverFailureError.
     """
     if x0 is None:
         x = np.zeros_like(b)
@@ -70,6 +70,11 @@ def _pcg(apply, b, x0, precondition, rtol):
     bnorm = float(np.linalg.norm(b))
     target = max(rtol * bnorm, 1e-16 * max(bnorm, 1.0))
     rnorm = float(np.linalg.norm(r))
+    if not (np.isfinite(bnorm) and np.isfinite(rnorm)):
+        raise SolverFailureError(
+            f"CG data is not finite (|b| = {bnorm:.3e}, residual {rnorm:.3e})",
+            residual=rnorm, iterations=0,
+        )
     if rnorm <= target:
         return x, 0
     p = precondition(r)
@@ -77,7 +82,7 @@ def _pcg(apply, b, x0, precondition, rtol):
     for it in range(1, CG_BUDGET + 1):
         Ap = apply(p)
         denom = float(p @ Ap)
-        if denom <= 0:
+        if not denom > 0:
             raise SolverFailureError(
                 f"CG breakdown (p.Ap = {denom:.3e})", residual=rnorm,
                 iterations=it - 1,
@@ -261,8 +266,7 @@ def viscous_boundary_trace(v: Field, d, eps):
 
 def capillary_trace(h, sigma):
     """-sigma * curvature, the qS Dirichlet data."""
-    _, _, kappa = surface_geometry(h)
-    return -sigma * kappa
+    return -sigma * h.curvature()
 
 
 def decompose_pressure(v: Field, d, eps, g, sigma, tol=1e-10):

@@ -46,12 +46,7 @@ from .grid import (
     integrate_dVt,
     vertical_derivative_values,
 )
-from .surface import (
-    SurfaceState,
-    build_diffeomorphism,
-    cutoff_lift,
-    surface_from_values,
-)
+from .surface import SurfaceState, build_diffeomorphism, cutoff_lift
 from .operators import dual_areas, strain_phi
 from .elliptic import _pcg, capillary_trace, surface_traction_parts
 from .elliptic import flat_strip_solve
@@ -490,7 +485,7 @@ class StepReport:
 def make_flow_state(grid, h_values, v_values, t=0.0, eps=0.0, g=1.0, sigma=1.0,
                     A=None, c0=0.25, project=True):
     """Assemble a FlowState, building the metric and optionally projecting v."""
-    h = surface_from_values(grid, h_values)
+    h = SurfaceState(grid, h_values)
     d = build_diffeomorphism(h, A=A, c0=c0)
     v = np.asarray(v_values, dtype=float)
     if v.shape != (2, grid.n_y, grid.n_z):
@@ -579,7 +574,7 @@ def advance(state: FlowState, dt: float):
 
     # (i) half-step kinematic predictor
     w0 = state.w
-    h_half = surface_from_values(grid, h0 + 0.5 * dt * w0)
+    h_half = SurfaceState(grid, h0 + 0.5 * dt * w0)
 
     # (ii) rebuild the flattening map at the midpoint surface
     d_half = build_diffeomorphism(h_half, A=state.A, c0=state.c0)
@@ -622,7 +617,7 @@ def advance(state: FlowState, dt: float):
 
     # (vii) trapezoidal kinematic corrector
     w1 = kinematic_rhs(v_proj, d_half)
-    h1 = surface_from_values(grid, h_half.h_values + 0.5 * dt * w1)
+    h1 = SurfaceState(grid, h_half.h_values + 0.5 * dt * w1)
 
     # final metric and re-projection so the new state is solenoidal
     # against its own metric

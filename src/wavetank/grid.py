@@ -258,16 +258,6 @@ def vertical_derivative_values(grid, values):
     return np.asarray(values, dtype=float) @ grid.vertical_derivative_matrix().T
 
 
-def d_horizontal(f: Field) -> Field:
-    """Spectral derivative along the periodic direction, componentwise."""
-    return Field(f.grid, horizontal_derivative_values(f.grid, f.values))
-
-
-def d_vertical(f: Field) -> Field:
-    """Finite-difference vertical derivative on the stretched nodes."""
-    return Field(f.grid, vertical_derivative_values(f.grid, f.values))
-
-
 def integrate_dVt(f: Field, dzphi: Field) -> float:
     """Quadrature for integral of f * dz_phi over S (the dV_t measure)."""
     if f.values.ndim != 2 or dzphi.values.ndim != 2:

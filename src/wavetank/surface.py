@@ -44,12 +44,14 @@ class SurfaceState:
         """d_y h, spectrally."""
         return horizontal_derivative_values(self.grid, self.h_values)
 
+    def curvature(self):
+        """Mean curvature kappa = d_y( h' / sqrt(1 + h'^2) ) of the graph of
+        h, spectrally."""
+        u = self.slope()
+        return horizontal_derivative_values(self.grid, u / np.sqrt(1.0 + u ** 2))
+
     def max_abs(self):
         return float(np.max(np.abs(self.h_values)))
-
-
-def surface_from_values(grid, h_values):
-    return SurfaceState(grid=grid, h_values=np.asarray(h_values, float))
 
 
 class CutoffSpec:
@@ -118,11 +120,6 @@ def cutoff_lift(grid, samples):
     return C @ (prof * (C.T @ samples)[:, None])
 
 
-def extend_surface(h: SurfaceState) -> Field:
-    """Mollified interior extension eta with eta(., 0) = h."""
-    return Field(h.grid, cutoff_lift(h.grid, h.h_values))
-
-
 @dataclass(frozen=True, eq=False)
 class Diffeomorphism:
     """The metric quantities of phi = A z + eta that the transformed
@@ -157,8 +154,8 @@ def build_diffeomorphism(h: SurfaceState, A, c0):
     if not (np.isfinite(c0) and c0 > 0):
         raise ConfigurationError(f"c0 must be finite and > 0, got {c0}")
     g = h.grid
-    eta = extend_surface(h)
-    dz_eta = vertical_derivative_values(g, eta.values)
+    eta = cutoff_lift(g, h.h_values)
+    dz_eta = vertical_derivative_values(g, eta)
     if A is None:
         A = max(1.0, 2.0 * float(np.max(np.abs(dz_eta))))
     if not (np.isfinite(A) and A > 0):
@@ -172,7 +169,7 @@ def build_diffeomorphism(h: SurfaceState, A, c0):
             f"surface too steep: min(dz_phi) = {observed:.6f} < c0 = {c0}",
             observed_min=observed,
         )
-    grad_y = horizontal_derivative_values(g, eta.values)
+    grad_y = horizontal_derivative_values(g, eta)
     return Diffeomorphism(
         grid=g,
         A=float(A),
@@ -181,19 +178,6 @@ def build_diffeomorphism(h: SurfaceState, A, c0):
         grad_y_phi=Field(g, grad_y),
         c0_observed=observed,
     )
-
-
-def surface_geometry(h: SurfaceState):
-    """Boundary normal, unit normal, and mean curvature of the graph of h.
-
-    Curvature is kappa = d_y( h' / sqrt(1 + h'^2) ), evaluated spectrally.
-    """
-    u = h.slope()
-    N_b = np.stack([-u, np.ones_like(u)])
-    mag = np.sqrt(1.0 + u ** 2)
-    n_b = N_b / mag
-    kappa = horizontal_derivative_values(h.grid, u / mag)
-    return N_b, n_b, kappa
 
 
 def boundary_sobolev_norm(grid, values, s):
@@ -273,4 +257,4 @@ def random_surface(grid, rng, amplitude, max_mode=None):
     peak = np.max(np.abs(h))
     if peak > 0:
         h *= amplitude / peak
-    return surface_from_values(grid, h)
+    return SurfaceState(grid, h)

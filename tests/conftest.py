@@ -4,9 +4,9 @@ import pytest
 from wavetank.grid import Field, make_grid
 from wavetank.surface import (
     Diffeomorphism,
+    SurfaceState,
     build_diffeomorphism,
     random_surface,
-    surface_from_values,
 )
 
 
@@ -26,15 +26,19 @@ def uniform_grid():
     return make_grid(32, 40, 2.0 * np.pi, 2.0, clustering="uniform")
 
 
+def flat_diffeo(grid, A=1.0):
+    """The metric of the flat surface h = 0 with extension slope A."""
+    return build_diffeomorphism(SurfaceState(grid, np.zeros(grid.n_y)), A=A, c0=0.5)
+
+
 @pytest.fixture
 def flat_metric(grid):
-    h = surface_from_values(grid, np.zeros(grid.n_y))
-    return build_diffeomorphism(h, A=1.0, c0=0.5)
+    return flat_diffeo(grid)
 
 
 @pytest.fixture
 def curved_metric(grid):
-    h = surface_from_values(
+    h = SurfaceState(
         grid, 0.08 * np.cos(grid.y_nodes) + 0.05 * np.sin(2.0 * grid.y_nodes)
     )
     return build_diffeomorphism(h, A=1.0, c0=0.5)
@@ -52,7 +56,7 @@ def analytic_metric(grid, delta=0.12):
     profile = np.exp(2.0 * z)
     c = 1.0 + 2.0 * delta * np.cos(y) * profile * np.ones(grid.shape)
     b = -delta * np.sin(y) * profile * np.ones(grid.shape)
-    h = surface_from_values(grid, delta * np.cos(grid.y_nodes))
+    h = SurfaceState(grid, delta * np.cos(grid.y_nodes))
     return Diffeomorphism(
         grid=grid,
         A=1.0,

@@ -18,6 +18,7 @@ from wavetank.conormal import (
     apply_z3,
 )
 from wavetank.diagnostics import (
+    energy_identity_residual,
     epsilon_sweep,
     korn_audit,
     linear_frequency,
@@ -46,12 +47,18 @@ from wavetank.operators import (
 )
 from wavetank.persist import save_checkpoint, restore_checkpoint, write_series_csv
 from wavetank.surface import (
+    SurfaceState,
     build_diffeomorphism,
     extension_gain_audit,
     random_surface,
-    surface_from_values,
 )
-from conftest import analytic_metric, random_valid_metric, smooth_scalar, smooth_vector
+from conftest import (
+    analytic_metric,
+    flat_diffeo,
+    random_valid_metric,
+    smooth_scalar,
+    smooth_vector,
+)
 
 
 def verdict(number, ok, detail):
@@ -69,13 +76,6 @@ def standing_wave(g, a=1e-3, eps=0.0):
 def wave_period(g):
     omega = linear_frequency(2.0 * np.pi / g.length_y, 1.0, 1.0, g.depth_H)
     return 2.0 * np.pi / omega, omega
-
-
-def residual_max(traj):
-    ts = np.asarray(traj.times)
-    E = np.array([e.total for e in traj.energy])
-    D = np.array([e.dissipation_rate for e in traj.energy])
-    return float(np.max(np.abs((E[2:] - E[:-2]) / (ts[2:] - ts[:-2]) + D[1:-1])))
 
 
 def test_criterion_01_operator_cross_validation():
@@ -101,7 +101,7 @@ def test_criterion_01_operator_cross_validation():
             ),
         )
     # flat reduction
-    d0 = build_diffeomorphism(surface_from_values(g, np.zeros(g.n_y)), A=1.0, c0=0.5)
+    d0 = flat_diffeo(g)
     f = smooth_scalar(g, rng)
     v = smooth_vector(g, rng)
     flat_gap = max(
@@ -214,7 +214,7 @@ def test_criterion_04_energy_identity():
     for nsub in (60, 120, 240):
         traj = run(standing_wave(g), t_final=period, dt=period / nsub)
         assert traj.failure is None
-        residuals.append(residual_max(traj))
+        residuals.append(energy_identity_residual(traj)[2])
     r12 = residuals[0] / residuals[1]
     r23 = residuals[1] / residuals[2]
     p = int(round(np.log2(r12)))
@@ -250,9 +250,7 @@ def test_criterion_06_dirichlet_neumann():
     rel_errors = {}
     for n in (32, 64):
         g = make_grid(n, n, 2.0 * np.pi, 2.0, clustering="uniform")
-        d = build_diffeomorphism(
-            surface_from_values(g, np.zeros(g.n_y)), A=1.0, c0=0.5
-        )
+        d = flat_diffeo(g)
         k = 2
         flux = EllipticOperator(d).dirichlet_neumann(np.cos(k * g.y_nodes), 1e-12)
         exact = k * np.tanh(k * g.depth_H) * np.cos(k * g.y_nodes)
@@ -309,7 +307,7 @@ def test_criterion_08_korn_trace_embedding_audits():
     for label, n in (("coarse", 24), ("fine", 48)):
         g = make_grid(n, n, 2.0 * np.pi, 2.0 * np.pi)
         corpus = [evaluate_smooth_field(g, p) for p in params]
-        h = surface_from_values(
+        h = SurfaceState(
             g, 0.05 * np.cos(g.y_nodes) + 0.03 * np.sin(2 * g.y_nodes)
         )
         d = build_diffeomorphism(h, A=None, c0=0.25)

@@ -20,8 +20,8 @@ from wavetank.grid import (
     vertical_derivative_values,
 )
 from wavetank.persist import write_series_csv
-from wavetank.surface import build_diffeomorphism, surface_from_values
-
+from wavetank.surface import SurfaceState, build_diffeomorphism
+from conftest import flat_diffeo
 
 
 def zero_state(g, eps=0.0):
@@ -114,7 +114,7 @@ class TestKornAudit:
         values = []
         for n in (24, 48):
             g = make_grid(n, n, 2.0 * np.pi, 2.0 * np.pi)
-            h = surface_from_values(
+            h = SurfaceState(
                 g, 0.05 * np.cos(g.y_nodes) + 0.03 * np.sin(2 * g.y_nodes)
             )
             d = build_diffeomorphism(h, A=None, c0=0.25)
@@ -147,9 +147,7 @@ class TestSnReconstruction:
         gaps = []
         for n in (32, 64):
             g = make_grid(n, n, 2.0 * np.pi, 2.0 * np.pi, clustering="uniform")
-            d = build_diffeomorphism(
-                surface_from_values(g, np.zeros(g.n_y)), A=1.0, c0=0.5
-            )
+            d = flat_diffeo(g)
             prof = np.exp(1.2 * g.z_nodes)[None, :]
             v1 = 1.2 * np.cos(2 * g.y_nodes)[:, None] * prof
             v2 = 2.0 * np.sin(2 * g.y_nodes)[:, None] * prof
@@ -163,7 +161,7 @@ class TestSnReconstruction:
         for n in (32, 64):
             g = make_grid(n, n, 2.0 * np.pi, 2.0 * np.pi, clustering="tanh",
                           stretch_gamma=2.0)
-            h = surface_from_values(g, 0.1 * np.cos(g.y_nodes))
+            h = SurfaceState(g, 0.1 * np.cos(g.y_nodes))
             d = build_diffeomorphism(h, A=1.0, c0=0.5)
             psi = np.cos(2 * g.y_nodes)[:, None] * np.exp(1.2 * g.z_nodes)[None, :]
             raw = np.stack([
@@ -186,6 +184,19 @@ class TestLinearWave:
         quarter = t[:6]
         with pytest.raises(HistoryDepthError, match="found 1$"):
             measured_frequency(quarter, np.cos(omega * quarter + 0.3))
+
+    @pytest.mark.parametrize("samples, omega", [
+        ([1, 0, -1, 0, 1, 0, -1, 0, 1], np.pi / 2),
+        ([2, 1, 0, -1, -2, -1, 0, 1, 2], np.pi / 4),
+        # a run of zeros crosses at its first zero; a zero between samples of
+        # one sign does not cross
+        ([1, 0, 0, -1, 0, -1, 0, 0, 1], np.pi / 5),
+    ], ids=["alternating", "through-zero", "runs"])
+    def test_exact_zero_samples_cross_once(self, samples, omega):
+        # the zeros are the crossings themselves: counting one twice would
+        # put a zero spacing into the mean
+        measured = measured_frequency(np.arange(9.0), samples)
+        assert measured == pytest.approx(omega, rel=1e-12, abs=0.0)
 
     def test_linear_frequency_on_the_criterion_5_grid(self):
         # the value the tests' own expression gave before it moved here

@@ -21,17 +21,11 @@ from wavetank.grid import Field, fourier_basis, l2_norm, make_grid
 from wavetank.operators import jacobian_phi
 from wavetank.surface import (
     Diffeomorphism,
+    SurfaceState,
     build_diffeomorphism,
     random_surface,
-    surface_from_values,
 )
-from conftest import analytic_metric, random_valid_metric, smooth_vector
-
-
-def flat_diffeo(g):
-    return build_diffeomorphism(
-        surface_from_values(g, np.zeros(g.n_y)), A=1.0, c0=0.5
-    )
+from conftest import analytic_metric, flat_diffeo, random_valid_metric, smooth_vector
 
 
 class TestSolveElliptic:
@@ -112,7 +106,7 @@ class TestSolveElliptic:
         # dz_phi < 0 everywhere: E is negative definite
         c = -np.ones(grid.shape)
         d = Diffeomorphism(
-            grid=grid, A=1.0, h=surface_from_values(grid, np.zeros(grid.n_y)),
+            grid=grid, A=1.0, h=SurfaceState(grid, np.zeros(grid.n_y)),
             dzphi=Field(grid, c), grad_y_phi=Field(grid, np.zeros(grid.shape)),
             c0_observed=-1.0,
         )
@@ -126,7 +120,7 @@ class TestSolveElliptic:
         c = 1.0 + 0.1 * rng.random(grid.shape)
         c[5, 7] = lowest
         d = Diffeomorphism(
-            grid=grid, A=1.0, h=surface_from_values(grid, np.zeros(grid.n_y)),
+            grid=grid, A=1.0, h=SurfaceState(grid, np.zeros(grid.n_y)),
             dzphi=Field(grid, c), grad_y_phi=Field(grid, 0.2 * np.ones(grid.shape)),
             c0_observed=lowest,
         )
@@ -202,10 +196,7 @@ class TestFlatStripPreconditioner:
     @pytest.mark.parametrize("bottom", BOTTOMS)
     def test_flat_strip_one_iteration(self, clustering, A, bottom, rng):
         g = make_grid(24, 30, 2.0 * np.pi, 3.0, clustering=clustering)
-        d = build_diffeomorphism(
-            surface_from_values(g, np.zeros(g.n_y)), A=A, c0=0.5
-        )
-        op = EllipticOperator(d, bottom)
+        op = EllipticOperator(flat_diffeo(g, A), bottom)
         problems = (
             dict(dirichlet_top=rng.standard_normal(g.n_y)),
             dict(dirichlet_top=np.zeros(g.n_y), rhs=rng.standard_normal(g.shape)),
@@ -254,10 +245,7 @@ class TestFlatStripPreconditioner:
         # the gap is measured against |A| |x|, the size of the terms that
         # cancel in A x
         g = make_grid(24, 30, 2.0 * np.pi, 3.0)
-        d = build_diffeomorphism(
-            surface_from_values(g, np.zeros(g.n_y)), A=A, c0=0.5
-        )
-        op = EllipticOperator(d, bottom)
+        op = EllipticOperator(flat_diffeo(g, A), bottom)
         r = rng.standard_normal((g.n_y, op._V.shape[0]))
         x = flat_strip_solve(r, op._C, op._V, op._inverse).ravel()
         gap = op._A_ff @ x - r.ravel()
@@ -360,7 +348,7 @@ class TestPressureDecomposition:
         # qS ~ sigma a k^2 cos(ky) times the same bottom-Neumann profile
         g = make_grid(48, 64, 2.0 * np.pi, 2.0, clustering="uniform")
         a, k, grav, sigma = 1e-4, 2, 1.3, 0.8
-        h = surface_from_values(g, a * np.cos(k * g.y_nodes))
+        h = SurfaceState(g, a * np.cos(k * g.y_nodes))
         d = build_diffeomorphism(h, A=1.0, c0=0.5)
         v = Field(g, np.zeros((2, g.n_y, g.n_z)))
         split = decompose_pressure(v, d, eps=0.0, g=grav, sigma=sigma)
@@ -495,3 +483,23 @@ def test_cg_breakdown_is_a_solver_failure():
         _pcg(np.negative, b, None, np.copy, 1e-12)
     assert exc.value.iterations == 0
     assert exc.value.residual == np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("b, x0", [
+    (np.array([1.0, np.nan, 1.0]), None),
+    (np.array([1.0, np.inf, 1.0]), None),
+    (np.ones(3), np.array([0.0, np.nan, 0.0])),
+], ids=["nan-b", "inf-b", "nan-x0"])
+def test_cg_refuses_non_finite_data(b, x0):
+    # a NaN residual never meets the stopping test and an infinite |b| meets
+    # it at once, so non-finite data is refused before the first iteration
+    with pytest.raises(SolverFailureError, match="^CG data is not finite") as exc:
+        _pcg(np.copy, b, x0, np.copy, 1e-12)
+    assert exc.value.iterations == 0
+
+
+def test_cg_operator_returning_nan_is_a_breakdown():
+    # NaN > 0 is false, so a NaN p.Ap is a breakdown like a negative one
+    with pytest.raises(SolverFailureError, match=r"^CG breakdown \(p.Ap = nan") as exc:
+        _pcg(lambda p: np.full_like(p, np.nan), np.ones(5), None, np.copy, 1e-12)
+    assert exc.value.iterations == 0

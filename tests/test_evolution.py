@@ -38,9 +38,9 @@ from wavetank.evolution import (
 )
 from wavetank.grid import Field, fourier_basis, l2_norm, make_grid
 from wavetank.persist import restore_checkpoint, save_checkpoint, write_series_csv
-from wavetank.surface import build_diffeomorphism, surface_from_values
+from wavetank.surface import SurfaceState, build_diffeomorphism
 
-from conftest import random_valid_metric, smooth_vector
+from conftest import flat_diffeo, random_valid_metric, smooth_vector
 
 
 def standing_wave_state(g, a=1e-3, k=1, eps=0.0, g_grav=1.0, sigma=1.0):
@@ -583,8 +583,7 @@ class TestStackedViscousFactor:
         # cancel in M x; on the flat strip the strain pair is
         # (dy_c, dz_3pt / A) and W_c = A W
         g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
-        d = build_diffeomorphism(surface_from_values(g, np.zeros(n_y)), A=A, c0=0.5)
-        mops = metric_ops(d)
+        mops = metric_ops(flat_diffeo(g, A))
         ops = mops.ops
         r = rng.standard_normal(2 * n_y * n_z)
         x = ops.flat_viscous_solve(r, A, tau)
@@ -620,9 +619,8 @@ class TestPreconditionedSolves:
         # the flat-metric factors are the exact inverses there, so one
         # iteration meets the tolerance; an inexact factor (say, a band too
         # narrow for the u-w coupling of the modes k >= 1) needs many more
-        h = surface_from_values(grid, np.zeros(grid.n_y))
         for A in (1.0, 1.7):
-            d = build_diffeomorphism(h, A=A, c0=0.5)
+            d = flat_diffeo(grid, A)
             assert max(_solve_iterations(grid, d, rng)) <= 2
 
     def test_failed_band_factorization_is_a_solver_failure(self, grid, rng):
@@ -635,7 +633,7 @@ class TestPreconditionedSolves:
     def test_iterations_bounded_on_a_curved_surface(self, n_y, n_z, rng):
         g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
         y = g.y_nodes
-        h = surface_from_values(g, 0.2 * np.cos(y) + 0.06 * np.sin(3.0 * y))
+        h = SurfaceState(g, 0.2 * np.cos(y) + 0.06 * np.sin(3.0 * y))
         d = build_diffeomorphism(h, A=None, c0=0.25)
         assert max(_solve_iterations(g, d, rng)) <= 20
 
@@ -646,8 +644,7 @@ class TestPreconditionedSolves:
         # the gap is measured against |G| |x|, the size of the terms that
         # cancel in G x; on the flat strip G = Dz^T (w / A) Dz + Dy^T (w A) Dy
         g = make_grid(n_y, n_z, 2.0 * np.pi, 2.0 * np.pi)
-        d = build_diffeomorphism(surface_from_values(g, np.zeros(n_y)), A=A, c0=0.5)
-        mops = metric_ops(d)
+        mops = metric_ops(flat_diffeo(g, A))
         ops = mops.ops
         r = rng.standard_normal(n_y * n_z)
         x = ops.flat_gram_solve(r, A)
@@ -925,17 +922,13 @@ class TestStoredMetric:
             assert np.array_equal(getattr(back.d, name).values, saved), name
 
 
-def _flat(g):
-    return surface_from_values(g, np.zeros(g.n_y))
-
-
 # one argument per case, NaN or inf, each passed where it is checked
 _NON_FINITE_CASES = {
-    "c0": lambda g: build_diffeomorphism(_flat(g), A=1.0, c0=np.nan),
-    "extension slope A": lambda g: build_diffeomorphism(_flat(g), np.nan, 0.25),
-    "tolerance": lambda g: EllipticOperator(
-        build_diffeomorphism(_flat(g), A=1.0, c0=0.25)
-    ).solve(np.zeros(g.n_y), np.nan),
+    "c0": lambda g: build_diffeomorphism(flat_diffeo(g).h, A=1.0, c0=np.nan),
+    "extension slope A": lambda g: build_diffeomorphism(flat_diffeo(g).h, np.nan, 0.25),
+    "tolerance": lambda g: EllipticOperator(flat_diffeo(g)).solve(
+        np.zeros(g.n_y), np.nan
+    ),
     "length_y": lambda g: make_grid(16, 16, np.nan, 1.0),
     "depth_H": lambda g: make_grid(16, 16, 1.0, np.inf),
     "stretch_gamma": lambda g: make_grid(16, 16, 1.0, 1.0, stretch_gamma=np.nan),

@@ -26,9 +26,10 @@ from wavetank.operators import (
     strain_squared,
     vorticity_phi,
 )
-from wavetank.surface import extend_surface
+from wavetank.surface import cutoff_lift
 from conftest import (
     analytic_metric,
+    flat_diffeo,
     random_valid_metric,
     smooth_scalar,
     smooth_vector,
@@ -76,7 +77,7 @@ class TestDualRoutes:
 
     def test_self_derivative_of_phi(self, grid, rng):
         d = random_valid_metric(grid, rng)
-        phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
+        phi = d.A * grid.z_nodes[None, :] + cutoff_lift(grid, d.h.h_values)
         assert np.max(np.abs(jacobian_phi(phi, d)[1] - 1.0)) < TOL
 
 
@@ -212,11 +213,7 @@ class TestLaplacian:
         errors = []
         for n in (32, 64):
             g = make_grid(n, n, 2.0 * np.pi, 2.0, clustering="uniform")
-            from wavetank.surface import build_diffeomorphism, surface_from_values
-
-            d = build_diffeomorphism(
-                surface_from_values(g, np.zeros(g.n_y)), A=1.0, c0=0.5
-            )
+            d = flat_diffeo(g)
             k = 2
             f = Field(
                 g,

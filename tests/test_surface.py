@@ -9,13 +9,12 @@ from wavetank.errors import ConfigurationError, MetricValidityError
 from wavetank.grid import fourier_basis, make_grid, vertical_derivative_values
 from wavetank.surface import (
     CutoffSpec,
+    SurfaceState,
     build_diffeomorphism,
-    extend_surface,
+    cutoff_lift,
     extension_gain_audit,
     grad_eta_sobolev_norm,
     random_surface,
-    surface_from_values,
-    surface_geometry,
 )
 
 
@@ -57,19 +56,17 @@ class TestCutoff:
 
 class TestExtendSurface:
     def test_constant_surface_extends_constant(self, grid):
-        h = surface_from_values(grid, np.full(grid.n_y, 0.37))
-        eta = extend_surface(h)
-        assert np.max(np.abs(eta.values - 0.37)) < 1e-12
+        eta = cutoff_lift(grid, np.full(grid.n_y, 0.37))
+        assert np.max(np.abs(eta - 0.37)) < 1e-12
 
     def test_single_mode_profile(self, grid):
         k = 2
-        h = surface_from_values(grid, np.cos(k * grid.y_nodes))
-        eta = extend_surface(h)
+        eta = cutoff_lift(grid, np.cos(k * grid.y_nodes))
         expected = (
             CutoffSpec.evaluate(grid.z_nodes * k)[None, :]
             * np.cos(k * grid.y_nodes)[:, None]
         )
-        assert np.max(np.abs(eta.values - expected)) < 1e-12
+        assert np.max(np.abs(eta - expected)) < 1e-12
 
     def test_stored_profile_is_the_evaluated_one(self, monkeypatch, rng):
         # grids that share their z nodes but not n_y or length_y each get
@@ -82,14 +79,14 @@ class TestExtendSurface:
             C = fourier_basis(g)
             expected = C @ (prof * (C.T @ h.h_values)[:, None])
             for _ in range(2):  # built, then read back
-                assert np.array_equal(extend_surface(h).values, expected)
+                assert np.array_equal(cutoff_lift(g, h.h_values), expected)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_trace_identity(self, grid, seed):
         h = random_surface(grid, np.random.default_rng(seed), amplitude=0.5)
-        eta = extend_surface(h)
-        assert np.max(np.abs(eta.values[:, -1] - h.h_values)) < 1e-10
+        eta = cutoff_lift(grid, h.h_values)
+        assert np.max(np.abs(eta[:, -1] - h.h_values)) < 1e-10
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -106,8 +103,8 @@ class TestExtendSurface:
             worst = 0.0
             for _ in range(20):
                 h = random_surface(g, rng, amplitude=0.3)
-                eta = extend_surface(h)
-                worst = max(worst, np.max(np.abs(eta.values)) / h.max_abs())
+                eta = cutoff_lift(g, h.h_values)
+                worst = max(worst, np.max(np.abs(eta)) / h.max_abs())
             ratios.append(worst)
         assert all(np.isfinite(r) for r in ratios)
         assert ratios[1] < ratios[0] * 1.5
@@ -125,29 +122,29 @@ class TestExtendSurface:
 
 class TestBuildDiffeomorphism:
     def test_flat_surface(self, grid):
-        h = surface_from_values(grid, np.zeros(grid.n_y))
+        h = SurfaceState(grid, np.zeros(grid.n_y))
         d = build_diffeomorphism(h, A=1.0, c0=0.5)
-        phi = d.A * grid.z_nodes[None, :] + extend_surface(d.h).values
+        phi = d.A * grid.z_nodes[None, :] + cutoff_lift(grid, d.h.h_values)
         assert np.max(np.abs(phi - grid.z_nodes[None, :])) < 1e-12
         assert np.max(np.abs(d.dzphi.values - 1.0)) < 1e-12
         n = d.n_boundary
         assert np.allclose(n[0], 0.0) and np.allclose(n[1], 1.0)
 
     def test_moderate_wave_succeeds(self, grid):
-        h = surface_from_values(grid, 0.1 * np.cos(grid.y_nodes))
+        h = SurfaceState(grid, 0.1 * np.cos(grid.y_nodes))
         d = build_diffeomorphism(h, A=1.0, c0=0.5)
         assert d.c0_observed >= 0.5
         assert d.c0_observed == np.min(d.dzphi.values)
 
     def test_steep_wave_rejected(self, grid):
-        h = surface_from_values(grid, 10.0 * np.cos(grid.y_nodes))
+        h = SurfaceState(grid, 10.0 * np.cos(grid.y_nodes))
         with pytest.raises(MetricValidityError) as excinfo:
             build_diffeomorphism(h, A=1.0, c0=0.5)
         assert excinfo.value.observed_min is not None
         assert excinfo.value.observed_min < 0.5
 
     def test_monotone_in_slope_constant(self, grid):
-        h = surface_from_values(grid, 0.3 * np.cos(grid.y_nodes))
+        h = SurfaceState(grid, 0.3 * np.cos(grid.y_nodes))
         d1 = build_diffeomorphism(h, A=1.0, c0=0.2)
         d2 = build_diffeomorphism(h, A=2.5, c0=0.2)
         assert abs((d2.c0_observed - d1.c0_observed) - 1.5) < 1e-12
@@ -157,7 +154,7 @@ class TestBuildDiffeomorphism:
         # d_z eta has mean 0 in y, so min(dz_phi) <= A on every surface and
         # a floor c0 > A is unmeetable: a configuration error, not a steep
         # surface; c0 = A is met by the flat surface
-        h = surface_from_values(grid, amplitude * np.cos(grid.y_nodes))
+        h = SurfaceState(grid, amplitude * np.cos(grid.y_nodes))
         for A in (1.0, None):
             with pytest.raises(ConfigurationError,
                                match="^c0 = 1.5 exceeds the extension slope A = "):
@@ -166,7 +163,7 @@ class TestBuildDiffeomorphism:
             assert build_diffeomorphism(h, A=1.0, c0=1.0).c0_observed == 1.0
 
     def test_auto_slope_gives_margin(self, grid):
-        h = surface_from_values(grid, 0.4 * np.cos(grid.y_nodes))
+        h = SurfaceState(grid, 0.4 * np.cos(grid.y_nodes))
         d = build_diffeomorphism(h, A=None, c0=0.5)
         assert d.c0_observed >= 0.5
         assert d.A >= 1.0
@@ -174,7 +171,7 @@ class TestBuildDiffeomorphism:
     def test_trace_of_eta_is_h(self, grid, rng):
         h = random_surface(grid, rng, amplitude=0.2)
         d = build_diffeomorphism(h, A=None, c0=0.25)
-        eta = extend_surface(d.h).values
+        eta = cutoff_lift(grid, d.h.h_values)
         assert np.max(np.abs(eta[:, -1] - h.h_values)) < 1e-10
         # the stored metric is the derivative of phi = A z + eta
         phi = d.A * grid.z_nodes[None, :] + eta
@@ -184,18 +181,15 @@ class TestBuildDiffeomorphism:
 
 class TestSurfaceGeometry:
     def test_flat(self, grid):
-        h = surface_from_values(grid, np.zeros(grid.n_y))
-        N, n, kappa = surface_geometry(h)
-        assert np.allclose(N[0], 0.0) and np.allclose(N[1], 1.0)
-        assert np.allclose(n[1], 1.0)
-        assert np.max(np.abs(kappa)) < 1e-13
+        h = SurfaceState(grid, np.zeros(grid.n_y))
+        assert np.max(np.abs(h.curvature())) < 1e-13
 
     def test_small_amplitude_linearization(self, grid):
         k = 2
         errs = []
         for a in (1e-2, 1e-3):
-            h = surface_from_values(grid, a * np.cos(k * grid.y_nodes))
-            _, _, kappa = surface_geometry(h)
+            h = SurfaceState(grid, a * np.cos(k * grid.y_nodes))
+            kappa = h.curvature()
             linear = -a * k**2 * np.cos(k * grid.y_nodes)
             errs.append(np.max(np.abs(kappa - linear)))
         # cubic in amplitude: shrinking a by 10 shrinks the gap by ~1000
@@ -206,21 +200,21 @@ class TestSurfaceGeometry:
         g = make_grid(128, 16, 2.0 * np.pi, 2.0 * np.pi)
         a, k = 0.2, 2
         y = g.y_nodes
-        h = surface_from_values(g, a * np.cos(k * y))
-        _, _, kappa = surface_geometry(h)
+        h = SurfaceState(g, a * np.cos(k * y))
+        kappa = h.curvature()
         slope = -a * k * np.sin(k * y)
         exact = -a * k**2 * np.cos(k * y) * (1.0 + slope**2) ** (-1.5)
         assert np.max(np.abs(kappa - exact)) < 1e-10
 
 
 @pytest.mark.parametrize("bad, message", [
-    (lambda g: surface_from_values(g, np.zeros(g.n_y + 1)),
+    (lambda g: SurfaceState(g, np.zeros(g.n_y + 1)),
      r"^surface shape \(33,\) does not match n_y=32"),
-    (lambda g: surface_from_values(g, np.full(g.n_y, np.inf)),
+    (lambda g: SurfaceState(g, np.full(g.n_y, np.inf)),
      "^surface contains non-finite values"),
     (lambda g: CutoffSpec.evaluate(1.5, order=4),
      "^cutoff derivative order 4 unsupported"),
-    (lambda g: grad_eta_sobolev_norm(surface_from_values(g, np.zeros(g.n_y)), 3),
+    (lambda g: grad_eta_sobolev_norm(SurfaceState(g, np.zeros(g.n_y)), 3),
      r"^extension audit supports s in 0..2, got 3"),
 ], ids=["shape", "non-finite", "cutoff-order", "audit-order"])
 def test_guards_name_their_input(grid, bad, message):
